@@ -6,7 +6,7 @@
 //! amortization the `Planner` buys.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dae_dvfs::{deploy, optimize, DseConfig, Planner};
+use dae_dvfs::{DseConfig, Planner};
 use std::hint::black_box;
 use tinyengine::{qos_window, IdlePolicy, TinyEngine};
 use tinynn::models::vww;
@@ -43,7 +43,8 @@ fn bench_fig5(c: &mut Criterion) {
     group.bench_function("optimize_vww_30pct_percall", |b| {
         b.iter(|| {
             black_box(
-                optimize(&model, qos, &cfg)
+                Planner::new(&model, &cfg)
+                    .and_then(|planner| planner.optimize(qos))
                     .expect("optimizes")
                     .decisions
                     .len(),
@@ -82,10 +83,6 @@ fn bench_fig5(c: &mut Criterion) {
     });
 
     let plan = planner.optimize(qos).expect("optimizes");
-    group.bench_function("deploy_vww_30pct", |b| {
-        b.iter(|| black_box(deploy(&model, &plan, &cfg).expect("deploys").total_energy))
-    });
-
     group.bench_function("planner_deploy_cached", |b| {
         b.iter(|| black_box(planner.deploy(&plan).expect("deploys").total_energy))
     });

@@ -4,8 +4,8 @@
 //! For each paper model, times three ways of answering a 10-point QoS
 //! sweep:
 //!
-//! 1. **historical per-call**: a fresh DSE per QoS point (`optimize()`
-//!    called 10 times);
+//! 1. **historical per-call**: a fresh DSE per QoS point
+//!    (`Planner::new(..)?.optimize()` called 10 times);
 //! 2. **cached loop** (the PR 2 path): one [`Planner`], `optimize()` per
 //!    point — the DSE is shared but every point re-runs its own DPs;
 //! 3. **single-pass sweep**: [`Planner::sweep`] — one shared-grid DP
@@ -44,9 +44,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dae_dvfs::{
-    mckp_resweep, mckp_sweep, optimize, solve_dp, solve_dp_sweep, MckpItem, PlanRequest,
-    PlanServer, PlanService, Planner, ServerConfig, ServiceConfig, SolverWorkspace,
-    Stm32F767Target, Target,
+    mckp_resweep, mckp_sweep, solve_dp, solve_dp_sweep, MckpItem, PlanRequest, PlanServer,
+    PlanService, Planner, ServerConfig, ServiceConfig, SolverWorkspace, Stm32F767Target, Target,
 };
 use repro_bench::json::BENCH_SUMMARY_SCHEMA_VERSION;
 use repro_bench::{config, httpc, json, serving};
@@ -165,7 +164,9 @@ fn measure(model: &tinynn::Model, smoke: bool) -> ModelRow {
     } else {
         let t3 = Instant::now();
         for &qos in &windows {
-            optimize(model, qos, &cfg).expect("per-call optimize solves");
+            Planner::new(model, &cfg)
+                .and_then(|planner| planner.optimize(qos))
+                .expect("per-call optimize solves");
         }
         t3.elapsed().as_secs_f64()
     };
@@ -674,7 +675,7 @@ fn main() {
     println!("{document}");
     document.push('\n');
 
-    if let Err(reason) = json::validate_summary(&document, BENCH_SUMMARY_SCHEMA_VERSION) {
+    if let Err(reason) = json::validate_summary(&document) {
         eprintln!("error: emitted summary failed validation: {reason}");
         std::process::exit(1);
     }

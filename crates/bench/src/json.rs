@@ -114,140 +114,110 @@ impl Object {
     }
 }
 
-/// Validates a rendered `BENCH_SUMMARY.json` document: it must parse
-/// under the workspace's own JSON parser (the one plan artifacts use, so
-/// emitter and reader cannot diverge), carry the expected
-/// `schema_version`, and list at least one model row with the per-model
-/// timing fields. Schema v4 additionally requires the `service` section
-/// (plan-service cache-hit speedup, coalescing speedup, hit rate and
-/// throughput). Schema v5 additionally requires the quantized-kernel
-/// fields on every model row: `kernel_fill_secs`, `kernel_extract_secs`
-/// and `incremental_speedup` (full refill over incremental re-solve
-/// after a single-class drift). Schema v6 additionally requires the
-/// `server` section — the HTTP serving measurement over real loopback
-/// sockets: request count and latency percentiles (`http_requests`,
-/// `http_p50_ms`, `http_p99_ms`) plus the warm-vs-cold split proving the
-/// registry tier answered the restarted pass without a solve
-/// (`cold_solves`, `warm_solves`, `warm_registry_hits`). Schema v7
-/// additionally requires the serving hot-path fields: `warm_p50_ms`,
-/// `warm_p99_ms` and `inline_hit_rate` on the `server` section (the hot
-/// replay's latency over keep-alive connections and its inline-hit
-/// share) and `allocs_per_hit` on the `service` section (heap
-/// allocations per in-memory cache hit, measured by a counting
-/// allocator). Schema v8 additionally requires the observability fields
-/// on the `server` section: `warm_noreceipt_p50_ms` (the hot replay's
-/// median with receipts disabled — the before number),
-/// `receipt_overhead_frac` (the fractional p50 cost of stamping a
-/// receipt on every response), and a non-empty `path_histograms` array
-/// with one row per populated serving path carrying `path`, `count`,
-/// `p50_us` and `p99_us` from the service's fixed-bucket latency
-/// histograms.
+/// Validates a rendered `BENCH_SUMMARY.json` document against the current
+/// schema ([`BENCH_SUMMARY_SCHEMA_VERSION`]). It must parse under the
+/// workspace's own JSON parser (the one plan artifacts use, so emitter and
+/// reader cannot diverge) and carry every current field:
+///
+/// * at least one `models` row with the planning timings
+///   (`planner_construction_secs`, `planner_sweep_secs`,
+///   `percall_loop_secs`, `sweep_speedup`) and the quantized-kernel
+///   timings (`kernel_fill_secs`, `kernel_extract_secs`,
+///   `incremental_speedup`);
+/// * a `service` section: `cache_hit_speedup`, `coalescing_speedup`,
+///   `hit_rate`, `throughput_rps` and `allocs_per_hit`;
+/// * a `server` section — the HTTP replay over loopback sockets:
+///   `http_requests`, `http_p50_ms`, `http_p99_ms`, the warm-vs-cold
+///   split (`cold_solves`, `warm_solves`, `warm_registry_hits`), the hot
+///   replay (`warm_p50_ms`, `warm_p99_ms`, `inline_hit_rate`), the
+///   receipt cost (`warm_noreceipt_p50_ms`, `receipt_overhead_frac`) and
+///   a non-empty `path_histograms` array whose rows carry `path`,
+///   `count`, `p50_us` and `p99_us`.
 ///
 /// # Errors
 ///
 /// A human-readable description of the first violation.
-pub fn validate_summary(document: &str, expected_schema: u64) -> Result<(), String> {
+pub fn validate_summary(document: &str) -> Result<(), String> {
+    let text = |e: dae_dvfs::DaeDvfsError| e.to_string();
     let value = dae_dvfs::artifact::json::parse(document)
         .map_err(|e| format!("summary does not parse: {e}"))?;
-    let object = value
-        .as_object("bench summary")
-        .map_err(|e| e.to_string())?;
-    let schema = object
-        .get_u64("schema_version")
-        .map_err(|e| e.to_string())?;
-    if schema != expected_schema {
+    let object = value.as_object("bench summary").map_err(text)?;
+    let schema = object.get_u64("schema_version").map_err(text)?;
+    if schema != BENCH_SUMMARY_SCHEMA_VERSION {
         return Err(format!(
-            "schema_version {schema} != expected {expected_schema}"
+            "schema_version {schema} != current {BENCH_SUMMARY_SCHEMA_VERSION}"
         ));
     }
     let models = object
         .get("models")
         .and_then(|m| m.as_array("models"))
-        .map_err(|e| e.to_string())?;
+        .map_err(text)?;
     if models.is_empty() {
         return Err("models array is empty".into());
     }
     for row in models {
-        let row = row.as_object("model row").map_err(|e| e.to_string())?;
+        let row = row.as_object("model row").map_err(text)?;
         for field in [
             "planner_construction_secs",
             "planner_sweep_secs",
             "percall_loop_secs",
             "sweep_speedup",
+            "kernel_fill_secs",
+            "kernel_extract_secs",
+            "incremental_speedup",
         ] {
-            row.get_f64(field).map_err(|e| e.to_string())?;
-        }
-        if expected_schema >= 5 {
-            for field in [
-                "kernel_fill_secs",
-                "kernel_extract_secs",
-                "incremental_speedup",
-            ] {
-                row.get_f64(field).map_err(|e| e.to_string())?;
-            }
+            row.get_f64(field).map_err(text)?;
         }
     }
-    if expected_schema >= 4 {
-        let service = object
-            .get("service")
-            .and_then(|s| s.as_object("service section"))
-            .map_err(|e| e.to_string())?;
-        for field in [
-            "cache_hit_speedup",
-            "coalescing_speedup",
-            "hit_rate",
-            "throughput_rps",
-        ] {
-            service.get_f64(field).map_err(|e| e.to_string())?;
-        }
-        if expected_schema >= 7 {
-            service
-                .get_f64("allocs_per_hit")
-                .map_err(|e| e.to_string())?;
-        }
+    let service = object
+        .get("service")
+        .and_then(|s| s.as_object("service section"))
+        .map_err(text)?;
+    for field in [
+        "cache_hit_speedup",
+        "coalescing_speedup",
+        "hit_rate",
+        "throughput_rps",
+        "allocs_per_hit",
+    ] {
+        service.get_f64(field).map_err(text)?;
     }
-    if expected_schema >= 6 {
-        let server = object
-            .get("server")
-            .and_then(|s| s.as_object("server section"))
-            .map_err(|e| e.to_string())?;
-        for field in [
-            "http_requests",
-            "cold_solves",
-            "warm_solves",
-            "warm_registry_hits",
-        ] {
-            server.get_u64(field).map_err(|e| e.to_string())?;
-        }
-        for field in ["http_p50_ms", "http_p99_ms"] {
-            server.get_f64(field).map_err(|e| e.to_string())?;
-        }
-        if expected_schema >= 7 {
-            for field in ["warm_p50_ms", "warm_p99_ms", "inline_hit_rate"] {
-                server.get_f64(field).map_err(|e| e.to_string())?;
-            }
-        }
-        if expected_schema >= 8 {
-            for field in ["warm_noreceipt_p50_ms", "receipt_overhead_frac"] {
-                server.get_f64(field).map_err(|e| e.to_string())?;
-            }
-            let histograms = server
-                .get("path_histograms")
-                .and_then(|h| h.as_array("path_histograms"))
-                .map_err(|e| e.to_string())?;
-            if histograms.is_empty() {
-                return Err("path_histograms array is empty".into());
-            }
-            for row in histograms {
-                let row = row
-                    .as_object("path histogram row")
-                    .map_err(|e| e.to_string())?;
-                row.get_str("path").map_err(|e| e.to_string())?;
-                row.get_u64("count").map_err(|e| e.to_string())?;
-                for field in ["p50_us", "p99_us"] {
-                    row.get_f64(field).map_err(|e| e.to_string())?;
-                }
-            }
+    let server = object
+        .get("server")
+        .and_then(|s| s.as_object("server section"))
+        .map_err(text)?;
+    for field in [
+        "http_requests",
+        "cold_solves",
+        "warm_solves",
+        "warm_registry_hits",
+    ] {
+        server.get_u64(field).map_err(text)?;
+    }
+    for field in [
+        "http_p50_ms",
+        "http_p99_ms",
+        "warm_p50_ms",
+        "warm_p99_ms",
+        "inline_hit_rate",
+        "warm_noreceipt_p50_ms",
+        "receipt_overhead_frac",
+    ] {
+        server.get_f64(field).map_err(text)?;
+    }
+    let histograms = server
+        .get("path_histograms")
+        .and_then(|h| h.as_array("path_histograms"))
+        .map_err(text)?;
+    if histograms.is_empty() {
+        return Err("path_histograms array is empty".into());
+    }
+    for row in histograms {
+        let row = row.as_object("path histogram row").map_err(text)?;
+        row.get_str("path").map_err(text)?;
+        row.get_u64("count").map_err(text)?;
+        for field in ["p50_us", "p99_us"] {
+            row.get_f64(field).map_err(text)?;
         }
     }
     Ok(())
@@ -351,292 +321,172 @@ mod tests {
         assert_eq!(out, "{\n  \"grid\": [\n    [1, 2],\n    [3, 4]\n  ]\n}");
     }
 
+    /// Every field the current schema requires, grouped by where it lives.
+    const MODEL_ROW: &[(&str, &str)] = &[
+        ("planner_construction_secs", "1.0"),
+        ("planner_sweep_secs", "1.0"),
+        ("percall_loop_secs", "1.0"),
+        ("sweep_speedup", "2.0"),
+        ("kernel_fill_secs", "0.5"),
+        ("kernel_extract_secs", "0.01"),
+        ("incremental_speedup", "8.0"),
+    ];
+    const SERVICE: &[(&str, &str)] = &[
+        ("cache_hit_speedup", "100.0"),
+        ("coalescing_speedup", "3.0"),
+        ("hit_rate", "0.9"),
+        ("throughput_rps", "5000.0"),
+        ("allocs_per_hit", "0.0"),
+    ];
+    const SERVER: &[(&str, &str)] = &[
+        ("http_requests", "96"),
+        ("http_p50_ms", "0.4"),
+        ("http_p99_ms", "2.5"),
+        ("warm_p50_ms", "0.1"),
+        ("warm_p99_ms", "0.5"),
+        ("warm_noreceipt_p50_ms", "0.095"),
+        ("receipt_overhead_frac", "0.05"),
+        ("inline_hit_rate", "1.0"),
+        ("cold_solves", "8"),
+        ("warm_solves", "0"),
+        ("warm_registry_hits", "8"),
+    ];
+    const HISTOGRAM_ROW: &[(&str, &str)] = &[
+        ("path", "\"inline-hit\""),
+        ("count", "96"),
+        ("p50_us", "63.0"),
+        ("p99_us", "255.0"),
+    ];
+
+    /// `fields` as an object, leaving out the field named `skip`.
+    fn object_without(fields: &[(&str, &str)], skip: &str) -> Object {
+        fields
+            .iter()
+            .filter(|(key, _)| *key != skip)
+            .fold(Object::new(), |obj, (key, raw)| obj.raw_field(key, *raw))
+    }
+
+    /// A complete current-schema summary with the field `skip` removed
+    /// (wherever it lives) and the array field `empty` left empty.
+    fn summary_without(skip: &str, empty: &str) -> String {
+        let rows = |name: &str, row: &[(&str, &str)]| -> Vec<String> {
+            if name == empty {
+                Vec::new()
+            } else {
+                vec![object_without(row, skip).render()]
+            }
+        };
+        let mut server = object_without(SERVER, skip);
+        if skip != "path_histograms" {
+            server = server.array_field("path_histograms", &rows("path_histograms", HISTOGRAM_ROW));
+        }
+        let models = render_array(&rows("models", MODEL_ROW));
+        [
+            ("schema_version", BENCH_SUMMARY_SCHEMA_VERSION.to_string()),
+            ("models", models),
+            ("service", object_without(SERVICE, skip).render()),
+            ("server", server.render()),
+        ]
+        .into_iter()
+        .filter(|(key, _)| *key != skip)
+        .fold(Object::new(), |obj, (key, raw)| obj.raw_field(key, raw))
+        .render_pretty()
+    }
+
+    /// Asserts that a complete summary validates and that removing any one
+    /// of `fields` makes it fail with an error naming that field.
+    fn assert_required(fields: &[&str]) {
+        let complete = summary_without("", "");
+        assert_eq!(validate_summary(&complete), Ok(()), "{complete}");
+        for field in fields {
+            let err = validate_summary(&summary_without(field, ""))
+                .expect_err(&format!("a summary without {field} must fail"));
+            assert!(err.contains(field), "error for {field} names it: {err}");
+        }
+    }
+
+    /// Asserts that a complete summary with the array `array` left empty
+    /// fails with an error naming it.
+    fn assert_non_empty(array: &str) {
+        let err = validate_summary(&summary_without("", array)).unwrap_err();
+        assert!(err.contains(array), "empty {array}: {err}");
+    }
+
+    #[test]
+    fn summaries_require_the_current_version_and_model_timings() {
+        assert_required(&[
+            "schema_version",
+            "models",
+            "planner_construction_secs",
+            "planner_sweep_secs",
+            "percall_loop_secs",
+            "sweep_speedup",
+        ]);
+        assert_non_empty("models");
+        let stale = summary_without("", "").replace(
+            &format!("\"schema_version\": {BENCH_SUMMARY_SCHEMA_VERSION}"),
+            "\"schema_version\": 7",
+        );
+        assert!(validate_summary(&stale)
+            .unwrap_err()
+            .contains("schema_version"));
+    }
+
     #[test]
     fn v4_summaries_require_the_service_section() {
-        let row = Object::new()
-            .str_field("model", "vww")
-            .f64_field("planner_construction_secs", 1.0, 6)
-            .f64_field("planner_sweep_secs", 1.0, 6)
-            .f64_field("percall_loop_secs", 1.0, 6)
-            .f64_field("sweep_speedup", 2.0, 2)
-            .render();
-        let without_service = Object::new()
-            .u64_field("schema_version", 4)
-            .array_field("models", std::slice::from_ref(&row))
-            .render_pretty();
-        assert!(validate_summary(&without_service, 4)
-            .unwrap_err()
-            .contains("service"));
-        // The same document passes as v3 (no service requirement)...
-        let v3 = without_service.replace("\"schema_version\": 4", "\"schema_version\": 3");
-        assert!(validate_summary(&v3, 3).is_ok());
-        // ...and as v4 once the service section carries its fields.
-        let service = Object::new()
-            .f64_field("cache_hit_speedup", 100.0, 2)
-            .f64_field("coalescing_speedup", 3.0, 2)
-            .f64_field("hit_rate", 0.9, 4)
-            .f64_field("throughput_rps", 5000.0, 1)
-            .render();
-        let with_service = Object::new()
-            .u64_field("schema_version", 4)
-            .array_field("models", &[row])
-            .raw_field("service", service)
-            .render_pretty();
-        assert!(validate_summary(&with_service, 4).is_ok());
+        assert_required(&[
+            "service",
+            "cache_hit_speedup",
+            "coalescing_speedup",
+            "hit_rate",
+            "throughput_rps",
+        ]);
     }
 
     #[test]
     fn v5_summaries_require_the_kernel_fields_per_model() {
-        let service = Object::new()
-            .f64_field("cache_hit_speedup", 100.0, 2)
-            .f64_field("coalescing_speedup", 3.0, 2)
-            .f64_field("hit_rate", 0.9, 4)
-            .f64_field("throughput_rps", 5000.0, 1)
-            .render();
-        let v4_row = Object::new()
-            .str_field("model", "vww")
-            .f64_field("planner_construction_secs", 1.0, 6)
-            .f64_field("planner_sweep_secs", 1.0, 6)
-            .f64_field("percall_loop_secs", 1.0, 6)
-            .f64_field("sweep_speedup", 2.0, 2)
-            .render();
-        let without_kernel = Object::new()
-            .u64_field("schema_version", 5)
-            .array_field("models", std::slice::from_ref(&v4_row))
-            .raw_field("service", service.clone())
-            .render_pretty();
-        assert!(validate_summary(&without_kernel, 5)
-            .unwrap_err()
-            .contains("kernel_fill_secs"));
-        // The same rows still pass as v4...
-        let v4 = without_kernel.replace("\"schema_version\": 5", "\"schema_version\": 4");
-        assert!(validate_summary(&v4, 4).is_ok());
-        // ...and as v5 once every row carries the kernel timings.
-        let v5_row = Object::new()
-            .str_field("model", "vww")
-            .f64_field("planner_construction_secs", 1.0, 6)
-            .f64_field("planner_sweep_secs", 1.0, 6)
-            .f64_field("percall_loop_secs", 1.0, 6)
-            .f64_field("sweep_speedup", 2.0, 2)
-            .f64_field("kernel_fill_secs", 0.5, 6)
-            .f64_field("kernel_extract_secs", 0.01, 6)
-            .f64_field("incremental_speedup", 8.0, 2)
-            .render();
-        let with_kernel = Object::new()
-            .u64_field("schema_version", 5)
-            .array_field("models", &[v5_row])
-            .raw_field("service", service)
-            .render_pretty();
-        assert!(validate_summary(&with_kernel, 5).is_ok());
+        assert_required(&[
+            "kernel_fill_secs",
+            "kernel_extract_secs",
+            "incremental_speedup",
+        ]);
     }
 
     #[test]
     fn v6_summaries_require_the_server_section() {
-        let row = Object::new()
-            .str_field("model", "vww")
-            .f64_field("planner_construction_secs", 1.0, 6)
-            .f64_field("planner_sweep_secs", 1.0, 6)
-            .f64_field("percall_loop_secs", 1.0, 6)
-            .f64_field("sweep_speedup", 2.0, 2)
-            .f64_field("kernel_fill_secs", 0.5, 6)
-            .f64_field("kernel_extract_secs", 0.01, 6)
-            .f64_field("incremental_speedup", 8.0, 2)
-            .render();
-        let service = Object::new()
-            .f64_field("cache_hit_speedup", 100.0, 2)
-            .f64_field("coalescing_speedup", 3.0, 2)
-            .f64_field("hit_rate", 0.9, 4)
-            .f64_field("throughput_rps", 5000.0, 1)
-            .render();
-        let without_server = Object::new()
-            .u64_field("schema_version", 6)
-            .array_field("models", std::slice::from_ref(&row))
-            .raw_field("service", service.clone())
-            .render_pretty();
-        assert!(validate_summary(&without_server, 6)
-            .unwrap_err()
-            .contains("server"));
-        // The same document still passes as v5 (no server requirement)...
-        let v5 = without_server.replace("\"schema_version\": 6", "\"schema_version\": 5");
-        assert!(validate_summary(&v5, 5).is_ok());
-        // ...and as v6 once the server section carries its fields.
-        let server = Object::new()
-            .u64_field("http_requests", 64)
-            .f64_field("http_p50_ms", 0.4, 3)
-            .f64_field("http_p99_ms", 2.5, 3)
-            .u64_field("cold_solves", 8)
-            .u64_field("warm_solves", 0)
-            .u64_field("warm_registry_hits", 8)
-            .render();
-        let with_server = Object::new()
-            .u64_field("schema_version", 6)
-            .array_field("models", &[row])
-            .raw_field("service", service)
-            .raw_field("server", server)
-            .render_pretty();
-        assert!(validate_summary(&with_server, 6).is_ok());
+        assert_required(&[
+            "server",
+            "http_requests",
+            "http_p50_ms",
+            "http_p99_ms",
+            "cold_solves",
+            "warm_solves",
+            "warm_registry_hits",
+        ]);
     }
 
     #[test]
     fn v7_summaries_require_the_hot_path_fields() {
-        let row = Object::new()
-            .str_field("model", "vww")
-            .f64_field("planner_construction_secs", 1.0, 6)
-            .f64_field("planner_sweep_secs", 1.0, 6)
-            .f64_field("percall_loop_secs", 1.0, 6)
-            .f64_field("sweep_speedup", 2.0, 2)
-            .f64_field("kernel_fill_secs", 0.5, 6)
-            .f64_field("kernel_extract_secs", 0.01, 6)
-            .f64_field("incremental_speedup", 8.0, 2)
-            .render();
-        let v6_service = Object::new()
-            .f64_field("cache_hit_speedup", 100.0, 2)
-            .f64_field("coalescing_speedup", 3.0, 2)
-            .f64_field("hit_rate", 0.9, 4)
-            .f64_field("throughput_rps", 5000.0, 1)
-            .render();
-        let v6_server = Object::new()
-            .u64_field("http_requests", 64)
-            .f64_field("http_p50_ms", 0.4, 3)
-            .f64_field("http_p99_ms", 2.5, 3)
-            .u64_field("cold_solves", 8)
-            .u64_field("warm_solves", 0)
-            .u64_field("warm_registry_hits", 8)
-            .render();
-        let without_hot = Object::new()
-            .u64_field("schema_version", 7)
-            .array_field("models", std::slice::from_ref(&row))
-            .raw_field("service", v6_service.clone())
-            .raw_field("server", v6_server.clone())
-            .render_pretty();
-        assert!(validate_summary(&without_hot, 7)
-            .unwrap_err()
-            .contains("allocs_per_hit"));
-        // The same document still passes as v6 (no hot-path fields)...
-        let v6 = without_hot.replace("\"schema_version\": 7", "\"schema_version\": 6");
-        assert!(validate_summary(&v6, 6).is_ok());
-        // A service with allocs_per_hit but a v6 server still fails on
-        // the server's missing hot-replay fields...
-        let v7_service = Object::new()
-            .f64_field("cache_hit_speedup", 100.0, 2)
-            .f64_field("coalescing_speedup", 3.0, 2)
-            .f64_field("hit_rate", 0.9, 4)
-            .f64_field("throughput_rps", 5000.0, 1)
-            .f64_field("allocs_per_hit", 0.0, 3)
-            .render();
-        let stale_server = Object::new()
-            .u64_field("schema_version", 7)
-            .array_field("models", std::slice::from_ref(&row))
-            .raw_field("service", v7_service.clone())
-            .raw_field("server", v6_server)
-            .render_pretty();
-        assert!(validate_summary(&stale_server, 7)
-            .unwrap_err()
-            .contains("warm_p50_ms"));
-        // ...and passes once both sections carry the v7 fields.
-        let v7_server = Object::new()
-            .u64_field("http_requests", 96)
-            .f64_field("http_p50_ms", 0.4, 3)
-            .f64_field("http_p99_ms", 2.5, 3)
-            .f64_field("warm_p50_ms", 0.1, 3)
-            .f64_field("warm_p99_ms", 0.5, 3)
-            .f64_field("inline_hit_rate", 1.0, 4)
-            .u64_field("cold_solves", 8)
-            .u64_field("warm_solves", 0)
-            .u64_field("warm_registry_hits", 8)
-            .render();
-        let with_hot = Object::new()
-            .u64_field("schema_version", 7)
-            .array_field("models", &[row])
-            .raw_field("service", v7_service)
-            .raw_field("server", v7_server)
-            .render_pretty();
-        assert!(validate_summary(&with_hot, 7).is_ok());
+        assert_required(&[
+            "allocs_per_hit",
+            "warm_p50_ms",
+            "warm_p99_ms",
+            "inline_hit_rate",
+        ]);
     }
 
     #[test]
     fn v8_summaries_require_the_observability_fields() {
-        let row = Object::new()
-            .str_field("model", "vww")
-            .f64_field("planner_construction_secs", 1.0, 6)
-            .f64_field("planner_sweep_secs", 1.0, 6)
-            .f64_field("percall_loop_secs", 1.0, 6)
-            .f64_field("sweep_speedup", 2.0, 2)
-            .f64_field("kernel_fill_secs", 0.5, 6)
-            .f64_field("kernel_extract_secs", 0.01, 6)
-            .f64_field("incremental_speedup", 8.0, 2)
-            .render();
-        let service = Object::new()
-            .f64_field("cache_hit_speedup", 100.0, 2)
-            .f64_field("coalescing_speedup", 3.0, 2)
-            .f64_field("hit_rate", 0.9, 4)
-            .f64_field("throughput_rps", 5000.0, 1)
-            .f64_field("allocs_per_hit", 0.0, 3)
-            .render();
-        let v7_server = Object::new()
-            .u64_field("http_requests", 96)
-            .f64_field("http_p50_ms", 0.4, 3)
-            .f64_field("http_p99_ms", 2.5, 3)
-            .f64_field("warm_p50_ms", 0.1, 3)
-            .f64_field("warm_p99_ms", 0.5, 3)
-            .f64_field("inline_hit_rate", 1.0, 4)
-            .u64_field("cold_solves", 8)
-            .u64_field("warm_solves", 0)
-            .u64_field("warm_registry_hits", 8)
-            .render();
-        let without_obs = Object::new()
-            .u64_field("schema_version", 8)
-            .array_field("models", std::slice::from_ref(&row))
-            .raw_field("service", service.clone())
-            .raw_field("server", v7_server.clone())
-            .render_pretty();
-        assert!(validate_summary(&without_obs, 8)
-            .unwrap_err()
-            .contains("warm_noreceipt_p50_ms"));
-        // The same document still passes as v7 (no observability fields)...
-        let v7 = without_obs.replace("\"schema_version\": 8", "\"schema_version\": 7");
-        assert!(validate_summary(&v7, 7).is_ok());
-        // ...an empty histogram array is rejected...
-        let lane = Object::new()
-            .str_field("path", "inline-hit")
-            .u64_field("count", 96)
-            .f64_field("p50_us", 63.0, 3)
-            .f64_field("p99_us", 255.0, 3)
-            .render();
-        let obs_server = |histograms: &[String]| {
-            Object::new()
-                .u64_field("http_requests", 96)
-                .f64_field("http_p50_ms", 0.4, 3)
-                .f64_field("http_p99_ms", 2.5, 3)
-                .f64_field("warm_p50_ms", 0.1, 3)
-                .f64_field("warm_p99_ms", 0.5, 3)
-                .f64_field("warm_noreceipt_p50_ms", 0.095, 3)
-                .f64_field("receipt_overhead_frac", 0.05, 4)
-                .f64_field("inline_hit_rate", 1.0, 4)
-                .u64_field("cold_solves", 8)
-                .u64_field("warm_solves", 0)
-                .u64_field("warm_registry_hits", 8)
-                .array_field("path_histograms", histograms)
-                .render()
-        };
-        let empty_hist = Object::new()
-            .u64_field("schema_version", 8)
-            .array_field("models", std::slice::from_ref(&row))
-            .raw_field("service", service.clone())
-            .raw_field("server", obs_server(&[]))
-            .render_pretty();
-        assert!(validate_summary(&empty_hist, 8)
-            .unwrap_err()
-            .contains("path_histograms"));
-        // ...and the document passes once the server carries the before/
-        // after receipt numbers and a populated per-path histogram row.
-        let with_obs = Object::new()
-            .u64_field("schema_version", 8)
-            .array_field("models", &[row])
-            .raw_field("service", service)
-            .raw_field("server", obs_server(&[lane]))
-            .render_pretty();
-        assert!(validate_summary(&with_obs, 8).is_ok());
+        assert_required(&[
+            "warm_noreceipt_p50_ms",
+            "receipt_overhead_frac",
+            "path_histograms",
+            "path",
+            "count",
+            "p50_us",
+            "p99_us",
+        ]);
+        assert_non_empty("path_histograms");
     }
 
     #[test]

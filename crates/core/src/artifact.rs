@@ -393,8 +393,8 @@ impl DeploymentPlan {
         PlanArtifact::from_plan(
             self,
             planner.target().id(),
-            model_fingerprint(&planner.model().name, planner.layers()),
-            config_fingerprint(planner.config()),
+            planner.model_fingerprint(),
+            planner.config_fingerprint(),
         )
     }
 
@@ -439,7 +439,7 @@ impl DeploymentPlan {
                 artifact.model.clone(),
             );
         }
-        let expected_model = model_fingerprint(&planner.model().name, planner.layers());
+        let expected_model = planner.model_fingerprint();
         if artifact.model_fingerprint != expected_model {
             return mismatch(
                 "model_fingerprint",
@@ -447,7 +447,7 @@ impl DeploymentPlan {
                 format!("{:016x}", artifact.model_fingerprint),
             );
         }
-        let expected_config = config_fingerprint(planner.config());
+        let expected_config = planner.config_fingerprint();
         if artifact.config_fingerprint != expected_config {
             return mismatch(
                 "config_fingerprint",
@@ -982,6 +982,52 @@ mod tests {
         assert_eq!(a, b, "fingerprint must be deterministic");
         let c = config_fingerprint(&DseConfig::paper().with_dp_resolution(999));
         assert_ne!(a, c, "config changes must change the fingerprint");
+    }
+
+    #[test]
+    fn golden_fingerprints_pin_the_registry_addresses() {
+        // Fingerprints key the plan cache and name every registry file.
+        // A `Debug` derive or field-order change anywhere under a profile
+        // or a `DseConfig` would silently re-key them, so a change here
+        // must be deliberate.
+        use crate::modes::OperatingModes;
+        use crate::target::{GenericCortexMTarget, Stm32F767Target};
+        let lean = GenericCortexMTarget::new("cortex-m-lean").with_modes(
+            OperatingModes::from_sysclks(
+                Hertz::mhz(50),
+                Hertz::mhz(50),
+                &[Hertz::mhz(80), Hertz::mhz(120), Hertz::mhz(160)],
+            )
+            .expect("lean ladder reachable"),
+        );
+        let cases = [
+            (
+                Planner::for_target(Stm32F767Target::paper(), &tinynn::models::vww()),
+                (0x1588_4ffb_a99f_6c42, 0x384d_419b_0a84_7872),
+            ),
+            (
+                Planner::for_target(lean, &tinynn::models::person_detection()),
+                (0xbd9c_f43e_fd92_3393, 0xe6a8_e498_02d7_94c7),
+            ),
+        ];
+        for (planner, (model_fp, config_fp)) in cases {
+            let planner = planner.expect("planner builds");
+            let name = &planner.model().name;
+            let model_free = model_fingerprint(name, planner.layers());
+            let config_free = config_fingerprint(planner.config());
+            assert_eq!(
+                (model_free, config_free),
+                (model_fp, config_fp),
+                "{name}@{}: {model_free:#018x} {config_free:#018x}",
+                planner.target().id()
+            );
+            // The planner's stored identity is the free functions' value.
+            assert_eq!(
+                (planner.model_fingerprint(), planner.config_fingerprint()),
+                (model_free, config_free),
+                "{name}: stored fingerprints diverge from the free functions"
+            );
+        }
     }
 
     #[test]

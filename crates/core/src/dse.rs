@@ -153,8 +153,8 @@ impl Default for DseConfig {
 /// The machine starts with the point's own HFO PLL locked, i.e. the point
 /// is *relock-free*: it covers the intra-layer LFO↔HFO mux toggles but not
 /// the PLL re-lock a deployment pays when the previous layer used a
-/// different HFO. The pipeline's optimizer accounts for those inter-layer
-/// re-locks sequence-aware (see `dae_dvfs::pipeline::optimize`).
+/// different HFO. The planner's optimizer accounts for those inter-layer
+/// re-locks sequence-aware (see [`crate::Planner::optimize`]).
 pub fn evaluate_point(
     profile: &KernelProfile,
     g: Granularity,

@@ -10,7 +10,7 @@
 //! 2. **DSE** ([`dse`], [`pareto`]): each layer's `(g, f)` grid is priced
 //!    on the machine model — memory segments at the 50 MHz LFO, compute at
 //!    the PLL-driven HFO — and reduced to its Pareto front;
-//! 3. **QoS optimization** ([`mckp`], [`pipeline`]): one Pareto point per
+//! 3. **QoS optimization** ([`mckp`], [`Planner`]): one Pareto point per
 //!    layer is chosen by a multiple-choice-knapsack dynamic program so the
 //!    model meets its latency budget with minimal energy.
 //!
@@ -65,26 +65,8 @@
 //! # Ok(())
 //! # }
 //! ```
-//!
-//! The historical free functions remain available, bit-identical for
-//! every valid input (degenerate inputs — NaN / zero / negative budgets —
-//! are now rejected with [`DaeDvfsError::InvalidRequest`] instead of
-//! silently producing degenerate plans):
-//!
-//! ```
-//! use dae_dvfs::{run_dae_dvfs, DseConfig};
-//! use tinynn::models::vww_sized;
-//!
-//! # fn main() -> Result<(), dae_dvfs::DaeDvfsError> {
-//! let model = vww_sized(32);
-//! let report = run_dae_dvfs(&model, 0.3, &DseConfig::paper())?;
-//! assert!(report.inference_secs <= report.plan.qos_secs);
-//! # Ok(())
-//! # }
-//! ```
 
 pub mod artifact;
-pub mod classes;
 pub mod dae;
 pub mod dse;
 pub mod error;
@@ -109,7 +91,6 @@ pub use artifact::{
     config_fingerprint, model_fingerprint, ArtifactDecision, PlanArtifact,
     PLAN_ARTIFACT_SCHEMA_VERSION,
 };
-pub use classes::{QosClass, QosClassLadder};
 pub use dae::{dae_forward_depthwise, dae_forward_pointwise, dae_segments, Granularity};
 pub use dse::{evaluate_point, explore_layer, DseConfig, DsePoint};
 pub use error::{DaeDvfsError, RegistryError, ServerError, ServiceError};
@@ -117,13 +98,10 @@ pub use mckp::{solve_dp, solve_exhaustive, solve_greedy, MckpError, MckpItem, Mc
 pub use modes::OperatingModes;
 pub use obs::{HistogramSnapshot, PathStats, Receipt, ServePath};
 pub use pareto::{dominates, pareto_front};
-pub use pipeline::{
-    deploy, lower_model, optimize, optimize_sequence, run_dae_dvfs, DeploymentPlan,
-    DeploymentReport, LayerDecision,
-};
+pub use pipeline::{lower_model, DeploymentPlan, DeploymentReport, LayerDecision};
 pub use planner::Planner;
 pub use registry::{PlanRegistry, RegistryStats, REGISTRY_SCHEMA_VERSION};
-pub use report::{compare_with_baselines, EnergyComparison, FrequencyMap, FrequencyMapRow};
+pub use report::{EnergyComparison, FrequencyMap, FrequencyMapRow};
 pub use request::{PlanRequest, QosBudget, Solver};
 pub use schedule::{evaluate_schedule, explore_compiled, explore_model, CompiledLayer};
 pub use seqdp::{solve_sequence, SequenceSolution};

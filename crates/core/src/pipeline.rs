@@ -1,21 +1,17 @@
-//! The end-to-end methodology (paper Fig. 3): DAE lowering → per-layer DSE
-//! → Pareto extraction → MCKP → deployable plan → iso-latency execution.
+//! The products of the methodology (paper Fig. 3): DAE lowering →
+//! per-layer DSE → Pareto extraction → MCKP → deployable plan →
+//! iso-latency execution.
 //!
-//! The functions here are single-shot conveniences: each builds a
-//! throw-away [`Planner`] (which owns the compiled schedules and Pareto
-//! fronts) and runs one step. Callers that revisit the same model —
-//! several QoS points, repeated deployments, baseline comparisons —
-//! should construct the [`Planner`] once and amortize the DSE.
-
-use std::sync::Arc;
+//! [`crate::Planner`] runs the steps; this module holds what it lowers
+//! from ([`lower_model`]) and what it produces: the per-layer
+//! [`LayerDecision`]s of a [`DeploymentPlan`], and the
+//! [`DeploymentReport`] of executing one.
 
 use stm32_power::Joules;
 use tinynn::{LayerKind, Model};
 
-use crate::dse::{DseConfig, DsePoint};
+use crate::dse::DsePoint;
 use crate::error::DaeDvfsError;
-use crate::planner::Planner;
-use crate::schedule::{replay_decisions, CompiledLayer};
 
 /// The per-layer decision of a deployment: which granularity and which HFO
 /// frequency the layer runs with.
@@ -107,131 +103,13 @@ pub fn lower_model(model: &Model) -> Result<Vec<tinyengine::KernelProfile>, DaeD
         .collect())
 }
 
-/// Runs steps 1–3 of the methodology: DSE every layer, keep the Pareto
-/// fronts, and solve the MCKP for the given QoS window.
-///
-/// Two refinements over the plain MCKP formulation (Eq. 2–5 of the paper):
-///
-/// * the objective includes the clock-gated idle power of the
-///   post-inference tail: minimizing `Σ Eₖ + P_idle · (QoS − Σ tₖ)` is
-///   equivalent to using item values `Eₖ − P_idle · tₖ` (plus a constant),
-///   so slower-but-leaner points are only preferred when they genuinely
-///   beat "finish fast, then gate the clocks";
-/// * DSE items are relock-free, so each MCKP solution is *replayed* with
-///   full inter-layer switching costs; a deterministic grid of switching
-///   reserves is evaluated and the feasible schedule with the lowest
-///   window energy wins (the relock-free all-fastest schedule is always a
-///   candidate, so feasibility is guaranteed whenever it exists).
-///
-/// # Errors
-///
-/// [`DaeDvfsError::Qos`] if even the fastest schedule misses the window;
-/// propagates lowering errors.
-pub fn optimize(
-    model: &Model,
-    qos_secs: f64,
-    config: &DseConfig,
-) -> Result<DeploymentPlan, DaeDvfsError> {
-    Planner::new(model, config)?.optimize(qos_secs)
-}
-
-/// Executes a deployment plan on a fresh machine and idles (clock gated)
-/// until the QoS deadline.
-///
-/// Unlike [`optimize`], this only compiles the schedules the plan needs —
-/// no DSE sweep is paid.
-///
-/// # Errors
-///
-/// Propagates lowering errors; [`DaeDvfsError::EmptyModel`] for zero-layer
-/// models. The plan is assumed to come from [`optimize`] against the same
-/// model.
-///
-/// # Panics
-///
-/// Panics if the replayed schedule overruns the plan's QoS window, which
-/// cannot happen for plans produced by [`optimize`] on the same model and
-/// configuration.
-pub fn deploy(
-    model: &Model,
-    plan: &DeploymentPlan,
-    config: &DseConfig,
-) -> Result<DeploymentReport, DaeDvfsError> {
-    let profiles = lower_model(model)?;
-    if profiles.is_empty() {
-        return Err(DaeDvfsError::EmptyModel {
-            model: model.name.clone(),
-        });
-    }
-    assert_eq!(
-        profiles.len(),
-        plan.decisions.len(),
-        "plan does not match the model layer count"
-    );
-    let layers: Vec<CompiledLayer> = profiles
-        .into_iter()
-        .map(|p| CompiledLayer::compile(p, config))
-        .collect();
-    let power = Arc::new(config.power.clone());
-    let (inference_secs, inference_energy) =
-        replay_decisions(&layers, &plan.decisions, config, &power);
-    let remaining = plan.qos_secs - inference_secs;
-    assert!(
-        remaining >= -1e-9,
-        "deployment overran its QoS window: {inference_secs}s > {}s",
-        plan.qos_secs
-    );
-    let idle_energy = config.power.clock_gated_power * remaining.max(0.0);
-    Ok(DeploymentReport {
-        plan: plan.clone(),
-        inference_secs,
-        inference_energy,
-        idle_energy,
-        total_energy: inference_energy + idle_energy,
-    })
-}
-
-/// Sequence-aware variant of [`optimize`]: selects one Pareto point per
-/// layer with the layered-graph DP of [`crate::seqdp`], which prices
-/// inter-layer PLL re-locks exactly instead of searching reserve budgets.
-///
-/// The returned plan is validated by machine replay; the replay result is
-/// what the plan reports (and it can only be *faster* than the DP's
-/// conservative prediction, never slower).
-///
-/// # Errors
-///
-/// Same conditions as [`optimize`].
-pub fn optimize_sequence(
-    model: &Model,
-    qos_secs: f64,
-    config: &DseConfig,
-) -> Result<DeploymentPlan, DaeDvfsError> {
-    Planner::new(model, config)?.optimize_sequence(qos_secs)
-}
-
-/// Convenience wrapper: baseline latency → QoS window → optimize → deploy.
-///
-/// `slack` is the paper's QoS constraint level (0.10 / 0.30 / 0.50).
-///
-/// # Errors
-///
-/// [`DaeDvfsError::InvalidRequest`] for NaN, zero or negative slacks
-/// (degenerate inputs are rejected at the API boundary instead of
-/// producing degenerate plans; a zero-slack *window* remains expressible
-/// via [`optimize`] with `qos_secs` equal to the baseline latency);
-/// otherwise propagates [`optimize`] and [`deploy`] errors.
-pub fn run_dae_dvfs(
-    model: &Model,
-    slack: f64,
-    config: &DseConfig,
-) -> Result<DeploymentReport, DaeDvfsError> {
-    Planner::new(model, config)?.run(slack)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dse::DseConfig;
+    use crate::planner::Planner;
+    use crate::schedule::{replay_decisions, CompiledLayer};
+    use std::sync::Arc;
     use tinyengine::TinyEngine;
     use tinynn::models::vww;
 
@@ -239,13 +117,18 @@ mod tests {
         DseConfig::paper()
     }
 
+    fn planner(model: &Model, config: &DseConfig) -> Planner {
+        Planner::new(model, config).unwrap()
+    }
+
     #[test]
     fn optimize_respects_qos() {
         let model = vww();
+        let planner = planner(&model, &cfg());
         let baseline = TinyEngine::new().run(&model).unwrap().total_time_secs;
         for slack in [0.1, 0.3, 0.5] {
             let qos = tinyengine::qos_window(baseline, slack);
-            let plan = optimize(&model, qos, &cfg()).unwrap();
+            let plan = planner.optimize(qos).unwrap();
             assert!(
                 plan.predicted_latency_secs <= qos + 1e-9,
                 "slack {slack}: predicted {} > qos {qos}",
@@ -261,10 +144,12 @@ mod tests {
         // switching costs; deploy() is the same replay, so the numbers
         // must agree to floating-point accuracy.
         let model = vww();
+        let config = cfg();
         let baseline = TinyEngine::new().run(&model).unwrap().total_time_secs;
         let qos = tinyengine::qos_window(baseline, 0.3);
-        let plan = optimize(&model, qos, &cfg()).unwrap();
-        let report = deploy(&model, &plan, &cfg()).unwrap();
+        let planner = planner(&model, &config);
+        let plan = planner.optimize(qos).unwrap();
+        let report = planner.deploy(&plan).unwrap();
         assert!(
             (report.inference_secs - plan.predicted_latency_secs).abs() < 1e-12,
             "deployment {} vs prediction {}",
@@ -273,13 +158,27 @@ mod tests {
         );
         assert!((report.inference_energy.as_f64() - plan.predicted_energy.as_f64()).abs() < 1e-12);
         assert!(report.inference_secs <= qos + 1e-12);
+
+        // An independent replay on freshly compiled schedules — no
+        // planner caches — must reproduce the prediction too.
+        let layers: Vec<CompiledLayer> = lower_model(&model)
+            .unwrap()
+            .into_iter()
+            .map(|p| CompiledLayer::compile(p, &config))
+            .collect();
+        let power = Arc::new(config.power.clone());
+        let (fresh_secs, fresh_energy) =
+            replay_decisions(&layers, &plan.decisions, &config, &power);
+        assert!((fresh_secs - plan.predicted_latency_secs).abs() < 1e-12);
+        assert!((fresh_energy.as_f64() - plan.predicted_energy.as_f64()).abs() < 1e-12);
     }
 
     #[test]
     fn relaxed_qos_saves_energy() {
         let model = vww();
-        let tight = run_dae_dvfs(&model, 0.1, &cfg()).unwrap();
-        let relaxed = run_dae_dvfs(&model, 0.5, &cfg()).unwrap();
+        let planner = planner(&model, &cfg());
+        let tight = planner.run(0.1).unwrap();
+        let relaxed = planner.run(0.5).unwrap();
         assert!(
             relaxed.inference_energy < tight.inference_energy,
             "relaxed {} vs tight {}",
@@ -293,12 +192,13 @@ mod tests {
         let model = vww();
         let baseline = TinyEngine::new().run(&model).unwrap().total_time_secs;
         let config = cfg();
+        let planner = planner(&model, &config);
         let gated = config.power.clock_gated_power.as_f64();
         for slack in [0.1, 0.3, 0.5] {
             let qos = tinyengine::qos_window(baseline, slack);
-            let seq = optimize_sequence(&model, qos, &config).unwrap();
+            let seq = planner.optimize_sequence(qos).unwrap();
             assert!(seq.predicted_latency_secs <= qos + 1e-12);
-            let grid = optimize(&model, qos, &config).unwrap();
+            let grid = planner.optimize(qos).unwrap();
             let window = |p: &DeploymentPlan| {
                 p.predicted_energy.as_f64() + gated * (qos - p.predicted_latency_secs)
             };
@@ -317,7 +217,9 @@ mod tests {
     fn plan_display_lists_every_layer() {
         let model = vww();
         let baseline = TinyEngine::new().run(&model).unwrap().total_time_secs;
-        let plan = optimize(&model, tinyengine::qos_window(baseline, 0.3), &cfg()).unwrap();
+        let plan = planner(&model, &cfg())
+            .optimize(tinyengine::qos_window(baseline, 0.3))
+            .unwrap();
         let rendered = plan.to_string();
         for d in &plan.decisions {
             assert!(rendered.contains(&d.name), "missing {}", d.name);
@@ -329,7 +231,7 @@ mod tests {
     fn sequence_dp_infeasible_window_rejected() {
         let model = vww();
         assert!(matches!(
-            optimize_sequence(&model, 1e-6, &cfg()),
+            planner(&model, &cfg()).optimize_sequence(1e-6),
             Err(DaeDvfsError::Qos(_))
         ));
     }
@@ -337,27 +239,17 @@ mod tests {
     #[test]
     fn infeasible_qos_rejected() {
         let model = vww();
-        let err = optimize(&model, 1e-6, &cfg()).unwrap_err();
+        let err = planner(&model, &cfg()).optimize(1e-6).unwrap_err();
         assert!(matches!(err, DaeDvfsError::Qos(_)));
     }
 
     #[test]
     fn empty_model_is_an_error_not_a_panic() {
         // Regression: the replay path used to index `decisions[0]` and
-        // panic on zero-layer models.
+        // panic on zero-layer models. No planner exists for one, so no
+        // optimize, sequence, run or deploy call can reach a replay.
         let model = Model::new("hollow", tinynn::Shape::new(4, 4, 1), Vec::new());
-        assert!(matches!(
-            optimize(&model, 1.0, &cfg()),
-            Err(DaeDvfsError::EmptyModel { .. })
-        ));
-        assert!(matches!(
-            optimize_sequence(&model, 1.0, &cfg()),
-            Err(DaeDvfsError::EmptyModel { .. })
-        ));
-        assert!(matches!(
-            run_dae_dvfs(&model, 0.3, &cfg()),
-            Err(DaeDvfsError::EmptyModel { .. })
-        ));
+        assert!(lower_model(&model).unwrap().is_empty());
         let hollow_plan = DeploymentPlan {
             model: "hollow".into(),
             qos_secs: 1.0,
@@ -366,7 +258,7 @@ mod tests {
             predicted_energy: Joules::ZERO,
         };
         assert!(matches!(
-            deploy(&model, &hollow_plan, &cfg()),
+            Planner::new(&model, &cfg()).and_then(|p| p.deploy(&hollow_plan)),
             Err(DaeDvfsError::EmptyModel { .. })
         ));
     }
@@ -380,7 +272,7 @@ mod tests {
         let qos = tinyengine::qos_window(baseline, 0.3);
         for resolution in [250usize, 2000] {
             let cfg = DseConfig::paper().with_dp_resolution(resolution);
-            let plan = optimize(&model, qos, &cfg).unwrap();
+            let plan = planner(&model, &cfg).optimize(qos).unwrap();
             assert!(
                 plan.predicted_latency_secs <= qos + 1e-9,
                 "res {resolution}"
@@ -396,7 +288,7 @@ mod tests {
         let baseline = engine.run(&model).unwrap().total_time_secs;
         let qos = tinyengine::qos_window(baseline, 0.3);
 
-        let ours = run_dae_dvfs(&model, 0.3, &cfg()).unwrap();
+        let ours = planner(&model, &cfg()).run(0.3).unwrap();
         let te = tinyengine::run_iso_latency(&engine, &model, qos, tinyengine::IdlePolicy::Busy216)
             .unwrap();
         let te_gated =

@@ -9,10 +9,11 @@
 //! the cache, which is why sweeping many QoS points
 //! ([`Planner::sweep`]) costs barely more than solving one.
 //!
-//! The single-shot functions ([`crate::pipeline::optimize`],
-//! [`crate::pipeline::run_dae_dvfs`], …) are thin wrappers that build a
-//! throw-away `Planner`; their results are bit-identical to the
-//! pre-`Planner` straight-line pipeline.
+//! A planner is also the one owner of its identity: the model and
+//! configuration fingerprints ([`crate::model_fingerprint`],
+//! [`crate::config_fingerprint`]) are computed once at construction, and
+//! artifacts, the service cache and the registry all read the stored
+//! values.
 
 use std::sync::{Arc, OnceLock};
 
@@ -20,13 +21,14 @@ use stm32_power::{Joules, PowerModel};
 use tinyengine::{qos_window, LoweredModel};
 use tinynn::Model;
 
+use crate::artifact::{config_fingerprint, model_fingerprint};
 use crate::dse::{DseConfig, DsePoint};
 use crate::error::DaeDvfsError;
 use crate::mckp::{MckpError, MckpItem, MckpSolution};
 use crate::pareto::pareto_front;
 use crate::pipeline::{DeploymentPlan, DeploymentReport, LayerDecision};
 use crate::request::{validate_positive_time, PlanRequest, QosBudget, Solver};
-use crate::schedule::{explore_model, replay_decisions, CompiledLayer};
+use crate::schedule::{explore_model, par_map, replay_decisions, CompiledLayer};
 use crate::solver::{
     mckp_resweep, mckp_sweep, solve_dp_with, solve_sequence_with, Grid, SolverWorkspace,
     WorkspacePool,
@@ -66,6 +68,8 @@ pub struct Planner {
     layers: Vec<CompiledLayer>,
     fronts: Vec<Vec<DsePoint>>,
     baseline: OnceLock<LoweredModel>,
+    model_fingerprint: u64,
+    config_fingerprint: u64,
     /// Pool of reusable flat DP buffers shared by every solver call on
     /// this planner; concurrent solves check out distinct workspaces, so
     /// contended callers still reuse warmed buffers instead of allocating
@@ -140,6 +144,8 @@ impl Planner {
         debug_assert!(fronts.iter().all(|f| !f.is_empty()));
         Ok(Planner {
             target,
+            model_fingerprint: model_fingerprint(&model.name, &layers),
+            config_fingerprint: config_fingerprint(&config),
             model: model.clone(),
             config,
             power,
@@ -164,6 +170,18 @@ impl Planner {
     /// compiled under it).
     pub fn config(&self) -> &DseConfig {
         &self.config
+    }
+
+    /// Fingerprint of the lowered model ([`crate::model_fingerprint`]),
+    /// computed once at construction.
+    pub fn model_fingerprint(&self) -> u64 {
+        self.model_fingerprint
+    }
+
+    /// Fingerprint of the exploration configuration
+    /// ([`crate::config_fingerprint`]), computed once at construction.
+    pub fn config_fingerprint(&self) -> u64 {
+        self.config_fingerprint
     }
 
     /// The compiled per-layer schedules, in execution order.
@@ -234,10 +252,20 @@ impl Planner {
     /// Solves the MCKP for one QoS window against the cached fronts (steps
     /// 2C–3 of the methodology; the DSE was paid at construction).
     ///
-    /// Algorithm and numerics are identical to the historical single-shot
-    /// `optimize`: a reserve-grid budget search around the relock-free DP
-    /// solution, every candidate validated by machine replay, the feasible
-    /// schedule with the lowest window energy winning.
+    /// Two refinements over the plain MCKP formulation (Eq. 2–5 of the
+    /// paper):
+    ///
+    /// * the objective includes the clock-gated idle power of the
+    ///   post-inference tail: minimizing `Σ Eₖ + P_idle · (QoS − Σ tₖ)` is
+    ///   equivalent to using item values `Eₖ − P_idle · tₖ` (plus a
+    ///   constant), so slower-but-leaner points are only preferred when
+    ///   they genuinely beat "finish fast, then gate the clocks";
+    /// * DSE items are relock-free, so each DP solution is *replayed* with
+    ///   full inter-layer switching costs; a deterministic grid of
+    ///   switching reserves is evaluated and the feasible schedule with
+    ///   the lowest window energy wins (the relock-free all-fastest
+    ///   schedule is always a candidate, so feasibility is guaranteed
+    ///   whenever it exists).
     ///
     /// # Errors
     ///
@@ -472,8 +500,7 @@ impl Planner {
     ///
     /// # Errors
     ///
-    /// Currently infallible for plans produced by this planner; the
-    /// `Result` mirrors the pipeline-level [`crate::pipeline::deploy`].
+    /// Currently infallible for plans produced by this planner.
     ///
     /// # Panics
     ///
@@ -703,7 +730,7 @@ impl Planner {
 
     /// Fills one shared-grid table for `budgets` and answers every
     /// `(slot, window)` target by extraction, striping the per-window
-    /// reserve searches over `std::thread::scope`.
+    /// reserve searches over at most `max_threads` threads ([`par_map`]).
     fn solve_on_shared_grid(
         &self,
         classes: &[Vec<MckpItem>],
@@ -720,52 +747,11 @@ impl Planner {
             mckp_sweep(classes, budgets, resolution, &mut ws)
         };
         let solved = match table {
-            Ok(table) => {
-                let threads = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-                    .min(max_threads.max(1))
-                    .min(targets.len());
-                if threads <= 1 {
-                    targets
-                        .iter()
-                        .map(|&(i, qos)| {
-                            let plan = self.search_reserve_grid(qos, classes, resolution, |b| {
-                                table.best_for(b)
-                            });
-                            (i, plan)
-                        })
-                        .collect()
-                } else {
-                    std::thread::scope(|s| {
-                        let table = &table;
-                        let handles: Vec<_> = (0..threads)
-                            .map(|t| {
-                                s.spawn(move || {
-                                    targets
-                                        .iter()
-                                        .skip(t)
-                                        .step_by(threads)
-                                        .map(|&(i, qos)| {
-                                            let plan = self.search_reserve_grid(
-                                                qos,
-                                                classes,
-                                                resolution,
-                                                |b| table.best_for(b),
-                                            );
-                                            (i, plan)
-                                        })
-                                        .collect::<Vec<_>>()
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .flat_map(|h| h.join().expect("sweep worker thread panicked"))
-                            .collect()
-                    })
-                }
-            }
+            Ok(table) => par_map(targets, max_threads, |&(i, qos)| {
+                let plan =
+                    self.search_reserve_grid(qos, classes, resolution, |b| table.best_for(b));
+                (i, plan)
+            }),
             Err(e) => targets
                 .iter()
                 .map(|&(i, _)| (i, Err(DaeDvfsError::Qos(e.clone()))))
@@ -798,8 +784,7 @@ impl Planner {
     }
 
     /// Convenience: baseline latency → QoS window at `slack` → optimize →
-    /// deploy (the per-planner equivalent of
-    /// [`crate::pipeline::run_dae_dvfs`]).
+    /// deploy.
     ///
     /// # Errors
     ///

@@ -270,7 +270,7 @@ impl PlanRegistry {
     pub(crate) fn load(&self, key: PlanKey, planner: &Planner) -> Option<ServedPlan> {
         let path = self.entry_path(key);
         let text = fs::read_to_string(&path).ok()?;
-        match Self::decode_entry(&text, Some(key), planner) {
+        match Self::decode_entry(&text, key, planner) {
             Ok((plan, artifact)) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 let bytes: Arc<[u8]> = artifact.to_json().into_bytes().into();
@@ -283,24 +283,31 @@ impl PlanRegistry {
         }
     }
 
-    /// Decodes and validates one envelope. With `expected` the entry must
-    /// match that key exactly; without it the key is reconstructed from
-    /// the envelope (startup re-validation, where the filename supplies
-    /// the expected address). Returns the validated plan together with
-    /// the decoded artifact (so a load can render the canonical bytes
-    /// without re-reading the file) and never panics — every failure is
-    /// a typed reason used only to decide quarantine.
+    /// Decodes and validates one envelope, which must match `expected`
+    /// exactly. Returns the validated plan together with the decoded
+    /// artifact (so a load can render the canonical bytes without
+    /// re-reading the file) and never panics — every failure is a typed
+    /// reason used only to decide quarantine.
     fn decode_entry(
         text: &str,
-        expected: Option<PlanKey>,
+        expected: PlanKey,
         planner: &Planner,
     ) -> Result<(DeploymentPlan, PlanArtifact), String> {
         let (key, artifact) = Self::decode_envelope(text)?;
-        if let Some(expected) = expected {
-            if key != expected {
-                return Err("envelope key does not match the lookup key".into());
-            }
+        if key != expected {
+            return Err("envelope key does not match the lookup key".into());
         }
+        Self::validate(key, artifact, planner)
+    }
+
+    /// Validates a decoded envelope against the planner that serves it:
+    /// the artifact must carry the key's canonical window bits and pass
+    /// [`DeploymentPlan::from_artifact`].
+    fn validate(
+        key: PlanKey,
+        artifact: PlanArtifact,
+        planner: &Planner,
+    ) -> Result<(DeploymentPlan, PlanArtifact), String> {
         if artifact.qos_secs.to_bits() != key.window_bits {
             // The stored plan must carry the *canonical* window — the
             // same slack-resolution + quantum snapping the in-memory hit
@@ -379,8 +386,8 @@ impl PlanRegistry {
     }
 
     /// Startup re-validation: replays every stored entry through
-    /// [`DeploymentPlan::from_artifact`] against the registered planners
-    /// (given as `(model_fingerprint, config_fingerprint, planner)`).
+    /// [`DeploymentPlan::from_artifact`] against the registered planners,
+    /// matched by their stored fingerprints. Each entry is parsed once.
     ///
     /// Entries that fail to decode, whose filename disagrees with their
     /// recomputed content address, whose artifact window disagrees with
@@ -395,16 +402,13 @@ impl PlanRegistry {
     ///
     /// [`RegistryError::Io`] when the registry directory cannot be read;
     /// individual bad entries quarantine instead of erroring.
-    pub(crate) fn revalidate(
-        &self,
-        planners: &[(u64, u64, &Planner)],
-    ) -> Result<(), RegistryError> {
+    pub(crate) fn revalidate(&self, planners: &[Arc<Planner>]) -> Result<(), RegistryError> {
         for path in self.entry_paths()? {
             let Ok(text) = fs::read_to_string(&path) else {
                 self.quarantine(&path);
                 continue;
             };
-            let (key, _artifact) = match Self::decode_envelope(&text) {
+            let (key, artifact) = match Self::decode_envelope(&text) {
                 Ok(decoded) => decoded,
                 Err(_) => {
                     self.quarantine(&path);
@@ -416,11 +420,12 @@ impl PlanRegistry {
                 self.quarantine(&path);
                 continue;
             }
-            let served_by = planners.iter().find(|(model, config, _)| {
-                *model == key.model_fingerprint && *config == key.config_fingerprint
+            let served_by = planners.iter().find(|p| {
+                p.model_fingerprint() == key.model_fingerprint
+                    && p.config_fingerprint() == key.config_fingerprint
             });
-            if let Some((_, _, planner)) = served_by {
-                if Self::decode_entry(&text, Some(key), planner).is_err() {
+            if let Some(planner) = served_by {
+                if Self::validate(key, artifact, planner).is_err() {
                     self.quarantine(&path);
                 }
             }
@@ -432,7 +437,6 @@ impl PlanRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::artifact::{config_fingerprint, model_fingerprint};
     use crate::dse::DseConfig;
     use crate::request::PlanRequest;
     use tinynn::models::vww_sized;
@@ -441,14 +445,14 @@ mod tests {
         std::env::temp_dir().join(format!("dae-dvfs-registry-{}-{tag}", std::process::id()))
     }
 
-    fn planner() -> Planner {
-        Planner::new(&vww_sized(32), &DseConfig::paper()).expect("planner builds")
+    fn planner() -> Arc<Planner> {
+        Arc::new(Planner::new(&vww_sized(32), &DseConfig::paper()).expect("planner builds"))
     }
 
     fn key_for(planner: &Planner, plan: &DeploymentPlan) -> PlanKey {
         PlanKey {
-            model_fingerprint: model_fingerprint(&planner.model().name, planner.layers()),
-            config_fingerprint: config_fingerprint(planner.config()),
+            model_fingerprint: planner.model_fingerprint(),
+            config_fingerprint: planner.config_fingerprint(),
             solver: Solver::ReserveGrid,
             window_bits: plan.qos_secs.to_bits(),
             dp_resolution: planner.config().dp_resolution,
@@ -496,9 +500,8 @@ mod tests {
             registry.store(key, &artifact).expect("stores");
         }
         let reopened = PlanRegistry::open(&dir).expect("reopens");
-        let fingerprints = (key.model_fingerprint, key.config_fingerprint);
         reopened
-            .revalidate(&[(fingerprints.0, fingerprints.1, &planner)])
+            .revalidate(std::slice::from_ref(&planner))
             .expect("revalidates");
         assert_eq!(reopened.stats().quarantined, 0);
         let loaded = reopened.load(key, &planner).expect("loads");
@@ -549,7 +552,7 @@ mod tests {
         let wrong = dir.join("0000000000000000.json");
         fs::rename(&paths[0], &wrong).expect("renames");
         registry
-            .revalidate(&[(key.model_fingerprint, key.config_fingerprint, &planner)])
+            .revalidate(std::slice::from_ref(&planner))
             .expect("revalidates");
         assert_eq!(registry.stats().quarantined, 1);
         assert_eq!(registry.entries().expect("counts"), 0);

@@ -4,12 +4,12 @@
 use stm32_power::Joules;
 use stm32_rcc::Hertz;
 use tinyengine::{qos_window, IdlePolicy};
-use tinynn::{LayerKind, Model};
+use tinynn::LayerKind;
 
-use crate::dse::DseConfig;
 use crate::error::DaeDvfsError;
 use crate::pipeline::DeploymentPlan;
 use crate::planner::Planner;
+use crate::schedule::par_map;
 
 /// Iso-latency energy of our approach vs the two baselines (one Fig. 5 bar
 /// group).
@@ -40,23 +40,6 @@ impl EnergyComparison {
         (self.tinyengine_gated.as_f64() - self.ours.as_f64()) / self.tinyengine_gated.as_f64()
             * 100.0
     }
-}
-
-/// Runs the full iso-latency comparison for one model and slack level.
-///
-/// Single-shot convenience over [`Planner::compare_with_baselines`]; use
-/// the planner directly to compare several slack levels without repeating
-/// the DSE.
-///
-/// # Errors
-///
-/// Propagates pipeline and baseline errors.
-pub fn compare_with_baselines(
-    model: &Model,
-    slack: f64,
-    config: &DseConfig,
-) -> Result<EnergyComparison, DaeDvfsError> {
-    Planner::new(model, config)?.compare_with_baselines(slack)
 }
 
 impl Planner {
@@ -101,8 +84,8 @@ impl Planner {
 
     /// Runs [`Planner::compare_with_baselines`] for a batch of slack
     /// levels, striping the independent per-slack work (solve, deploy,
-    /// two baseline replays) over `std::thread::scope` when more than one
-    /// core is available. Results are returned in slack order and are
+    /// two baseline replays) over scoped threads when more than one core
+    /// is available. Results are returned in slack order and are
     /// identical to the sequential loop.
     ///
     /// # Errors
@@ -118,41 +101,8 @@ impl Planner {
         if !slacks.is_empty() {
             self.baseline()?;
         }
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(slacks.len());
-        if threads <= 1 {
-            return slacks
-                .iter()
-                .map(|&s| self.compare_with_baselines(s))
-                .collect();
-        }
-        let mut slots: Vec<Option<Result<EnergyComparison, DaeDvfsError>>> =
-            (0..slacks.len()).map(|_| None).collect();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    s.spawn(move || {
-                        slacks
-                            .iter()
-                            .enumerate()
-                            .skip(t)
-                            .step_by(threads)
-                            .map(|(i, &slack)| (i, self.compare_with_baselines(slack)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, cmp) in handle.join().expect("comparison worker thread panicked") {
-                    slots[i] = Some(cmp);
-                }
-            }
-        });
-        slots
+        par_map(slacks, usize::MAX, |&s| self.compare_with_baselines(s))
             .into_iter()
-            .map(|slot| slot.expect("every slack is compared exactly once"))
             .collect()
     }
 }
@@ -245,14 +195,15 @@ impl FrequencyMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::optimize;
+    use crate::dse::DseConfig;
     use tinyengine::TinyEngine;
     use tinynn::models::vww;
 
     #[test]
     fn comparison_has_positive_gains_at_moderate_slack() {
         let model = vww();
-        let cmp = compare_with_baselines(&model, 0.3, &DseConfig::paper()).unwrap();
+        let planner = Planner::new(&model, &DseConfig::paper()).unwrap();
+        let cmp = planner.compare_with_baselines(0.3).unwrap();
         assert!(cmp.gain_vs_tinyengine_pct() > 0.0);
         assert!(cmp.gain_vs_gated_pct() > 0.0);
         assert!(cmp.gain_vs_tinyengine_pct() > cmp.gain_vs_gated_pct());
@@ -281,7 +232,8 @@ mod tests {
         let model = vww();
         let engine = TinyEngine::new();
         let t = engine.run(&model).unwrap().total_time_secs;
-        let plan = optimize(&model, qos_window(t, 0.3), &DseConfig::paper()).unwrap();
+        let planner = Planner::new(&model, &DseConfig::paper()).unwrap();
+        let plan = planner.optimize(qos_window(t, 0.3)).unwrap();
         let map = FrequencyMap::from_plan(&plan, 0.3);
         assert_eq!(map.rows.len(), model.layer_count());
 
@@ -295,11 +247,9 @@ mod tests {
         let model = vww();
         let engine = TinyEngine::new();
         let t = engine.run(&model).unwrap().total_time_secs;
-        let cfg = DseConfig::paper();
-        let tight =
-            FrequencyMap::from_plan(&optimize(&model, qos_window(t, 0.1), &cfg).unwrap(), 0.1);
-        let relaxed =
-            FrequencyMap::from_plan(&optimize(&model, qos_window(t, 0.5), &cfg).unwrap(), 0.5);
+        let planner = Planner::new(&model, &DseConfig::paper()).unwrap();
+        let tight = FrequencyMap::from_plan(&planner.optimize(qos_window(t, 0.1)).unwrap(), 0.1);
+        let relaxed = FrequencyMap::from_plan(&planner.optimize(qos_window(t, 0.5)).unwrap(), 0.5);
         let max = Hertz::mhz(216);
         assert!(
             tight.overall_share_at(max) >= relaxed.overall_share_at(max),

@@ -16,7 +16,8 @@
 //!   the lowering;
 //! * [`explore_compiled`] / [`explore_model`] run the full DSE sweep
 //!   against the cache, fanning layers out across OS threads with
-//!   `std::thread::scope` when more than one core is available;
+//!   `std::thread::scope` (the crate's one ordered parallel map) when
+//!   more than one core is available;
 //! * [`replay_decisions`] replays a deployment decision sequence (with
 //!   full inter-layer switching costs) against the cache.
 //!
@@ -190,46 +191,60 @@ pub fn explore_compiled(
 ///
 /// The sweep is embarrassingly parallel (every point is an independent
 /// machine replay of immutable segments), so layers are striped over
-/// `available_parallelism` scoped threads — no extra dependencies, no
-/// shared mutable state. Results are returned in layer order and are
-/// identical to the sequential sweep.
+/// `available_parallelism` scoped threads (`par_map`) — no extra
+/// dependencies, no shared mutable state. Results are returned in layer
+/// order and are identical to the sequential sweep.
 pub fn explore_model(
     layers: &[CompiledLayer],
     config: &DseConfig,
     power: &Arc<PowerModel>,
 ) -> Vec<Vec<DsePoint>> {
+    par_map(layers, usize::MAX, |l| explore_compiled(l, config, power))
+}
+
+/// Maps `f` over `items` on `min(available_parallelism, cap, len)` scoped
+/// threads and returns the results in input order. Items are striped
+/// round-robin (item `i` runs on thread `i % threads`); with one thread
+/// (or `cap <= 1`) everything runs inline on the caller's thread.
+///
+/// This is the crate's one ordered parallel map: the DSE sweep, the
+/// planner's shared-grid extractions and the baseline comparison sweep
+/// all fan out through it.
+pub(crate) fn par_map<T: Sync, R: Send>(
+    items: &[T],
+    cap: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-        .min(layers.len());
+        .min(cap)
+        .min(items.len());
     if threads <= 1 {
-        return layers
-            .iter()
-            .map(|l| explore_compiled(l, config, power))
-            .collect();
+        return items.iter().map(f).collect();
     }
-    let mut results: Vec<Vec<DsePoint>> = vec![Vec::new(); layers.len()];
-    std::thread::scope(|s| {
+    let f = &f;
+    let mut stripes: Vec<std::vec::IntoIter<R>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 s.spawn(move || {
-                    layers
+                    items
                         .iter()
-                        .enumerate()
                         .skip(t)
                         .step_by(threads)
-                        .map(|(i, l)| (i, explore_compiled(l, config, power)))
-                        .collect::<Vec<_>>()
+                        .map(f)
+                        .collect::<Vec<R>>()
                 })
             })
             .collect();
-        for handle in handles {
-            for (i, points) in handle.join().expect("DSE worker thread panicked") {
-                results[i] = points;
-            }
-        }
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("parallel map worker panicked").into_iter())
+            .collect()
     });
-    results
+    (0..items.len())
+        .map(|i| stripes[i % threads].next().expect("one result per item"))
+        .collect()
 }
 
 /// Replays a decision sequence on a fresh machine using the compiled
@@ -374,5 +389,25 @@ mod tests {
             .map(|l| explore_compiled(l, &cfg, &power))
             .collect();
         assert_eq!(parallel, sequential);
+    }
+
+    #[test]
+    fn par_map_keeps_input_order_and_respects_the_cap() {
+        let items: Vec<usize> = (0..37).collect();
+        let available = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for cap in [0, 1, 2, 3, usize::MAX] {
+            let mapped = par_map(&items, cap, |&i| (i * i, std::thread::current().id()));
+            let squares: Vec<usize> = mapped.iter().map(|&(sq, _)| sq).collect();
+            assert_eq!(squares, items.iter().map(|i| i * i).collect::<Vec<_>>());
+            let mut threads: Vec<_> = mapped.iter().map(|&(_, id)| id).collect();
+            threads.sort_by_key(|id| format!("{id:?}"));
+            threads.dedup();
+            assert!(threads.len() <= cap.clamp(1, available), "cap {cap}");
+            if cap <= 1 || available == 1 {
+                // The single-thread path runs inline, spawning nothing.
+                assert_eq!(threads, vec![std::thread::current().id()], "cap {cap}");
+            }
+        }
+        assert!(par_map(&[] as &[usize], usize::MAX, |&i| i).is_empty());
     }
 }

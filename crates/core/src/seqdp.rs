@@ -89,7 +89,7 @@ pub struct SequenceSolution {
 ///
 /// `fronts[k]` are the candidate points of layer `k`; `idle_power_w` is the
 /// gated idle power used for the window-energy objective (items are valued
-/// `E − P_idle·t`, as in [`crate::pipeline::optimize`]).
+/// `E − P_idle·t`, as in [`crate::Planner::optimize`]).
 ///
 /// Thin single-budget wrapper over the shared solver core
 /// ([`crate::solver`]): the DP runs on the historical budget-relative

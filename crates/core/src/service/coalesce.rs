@@ -74,8 +74,6 @@ pub enum CoalesceMode {
 /// lowering errors while resolving a slack budget.
 pub(crate) fn canonicalize(
     planner: &Planner,
-    model_fingerprint: u64,
-    config_fingerprint: u64,
     request: &PlanRequest,
     quantum_secs: f64,
 ) -> Result<CanonicalRequest, DaeDvfsError> {
@@ -88,6 +86,8 @@ pub(crate) fn canonicalize(
     let dp_resolution = request
         .dp_resolution()
         .unwrap_or(planner.config().dp_resolution);
+    let (model_fingerprint, config_fingerprint) =
+        (planner.model_fingerprint(), planner.config_fingerprint());
     let group = GroupKey {
         model_fingerprint,
         config_fingerprint,

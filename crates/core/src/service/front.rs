@@ -18,7 +18,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::artifact::{config_fingerprint, model_fingerprint};
 use crate::error::{DaeDvfsError, RegistryError, ServiceError};
 use crate::obs::{self, PathStamp, Receipt, ServePath};
 use crate::pipeline::DeploymentPlan;
@@ -38,13 +37,6 @@ use crate::sync::{lock, rank, wait, wait_timeout, RankedCondvar, RankedMutex};
 /// case it addresses that service's planner at the same position).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlannerKey(pub(crate) usize);
-
-#[derive(Debug)]
-struct Registered {
-    planner: Arc<Planner>,
-    model_fingerprint: u64,
-    config_fingerprint: u64,
-}
 
 /// One admitted request waiting in the queue (always a cache-miss
 /// *leader*; hits and joiners never occupy queue slots).
@@ -313,7 +305,7 @@ impl ServiceStats {
 #[derive(Debug)]
 pub struct PlanService {
     config: ServiceConfig,
-    planners: Vec<Registered>,
+    planners: Vec<Arc<Planner>>,
     cache: PlanCache<Arc<TicketInner>>,
     /// The persistent cold tier, when attached: consulted by workers on
     /// every cache miss before solving, written through after every
@@ -396,24 +388,18 @@ impl PlanService {
         })
     }
 
-    /// Registers a planner and returns its submission key. Fingerprints
-    /// are derived here, once — two planners built from the same model
-    /// and board configuration get equal fingerprints and therefore
-    /// share cache entries and coalesced batches.
+    /// Registers a planner and returns its submission key. Requests are
+    /// keyed by the planner's stored fingerprints, so two planners built
+    /// from the same model and board configuration share cache entries
+    /// and coalesced batches.
     pub fn register(&mut self, planner: Arc<Planner>) -> PlannerKey {
-        let model_fingerprint = model_fingerprint(&planner.model().name, planner.layers());
-        let config_fingerprint = config_fingerprint(planner.config());
-        self.planners.push(Registered {
-            planner,
-            model_fingerprint,
-            config_fingerprint,
-        });
+        self.planners.push(planner);
         PlannerKey(self.planners.len() - 1)
     }
 
     /// The planner a key addresses, if it belongs to this service.
     pub fn planner(&self, key: PlannerKey) -> Option<&Arc<Planner>> {
-        self.planners.get(key.0).map(|r| &r.planner)
+        self.planners.get(key.0)
     }
 
     /// Attaches a persistent on-disk registry as the cold tier below the
@@ -429,18 +415,7 @@ impl PlanService {
     /// [`RegistryError::Io`] when the registry directory cannot be
     /// scanned; individual bad entries are quarantined, not errors.
     pub fn attach_registry(&mut self, registry: PlanRegistry) -> Result<(), RegistryError> {
-        let planners: Vec<(u64, u64, &Planner)> = self
-            .planners
-            .iter()
-            .map(|r| {
-                (
-                    r.model_fingerprint,
-                    r.config_fingerprint,
-                    r.planner.as_ref(),
-                )
-            })
-            .collect();
-        registry.revalidate(&planners)?;
+        registry.revalidate(&self.planners)?;
         self.registry = Some(registry);
         Ok(())
     }
@@ -529,21 +504,15 @@ impl PlanService {
         key: PlannerKey,
         request: &PlanRequest,
     ) -> Result<(PlanTicket, PlanKey), ServiceError> {
-        let Some(registered) = self.planners.get(key.0) else {
+        let Some(planner) = self.planners.get(key.0) else {
             self.counters.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(ServiceError::UnknownPlanner { key: key.0 });
         };
-        let canonical = canonicalize(
-            &registered.planner,
-            registered.model_fingerprint,
-            registered.config_fingerprint,
-            request,
-            self.config.qos_quantum_secs,
-        )
-        .map_err(|e| {
-            self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            ServiceError::Plan(e)
-        })?;
+        let canonical =
+            canonicalize(planner, request, self.config.qos_quantum_secs).map_err(|e| {
+                self.counters.rejected.fetch_add(1, Ordering::Relaxed);
+                ServiceError::Plan(e)
+            })?;
 
         // Fast path: completed hits are answered inline, without the
         // queue mutex, a ticket allocation, or a worker handoff — the
@@ -868,7 +837,7 @@ impl PlanService {
     /// and only the remainder pays for the coalesced solve, whose fresh
     /// plans are then written through to disk.
     fn solve(&self, batch: Vec<Pending>) {
-        let planner = &self.planners[batch[0].planner].planner;
+        let planner = &self.planners[batch[0].planner];
         let batch = match &self.registry {
             Some(registry) => {
                 let mut remaining = Vec::with_capacity(batch.len());

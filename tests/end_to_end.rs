@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full methodology from model zoo to
 //! deployed iso-latency windows.
 
-use dae_dvfs::{compare_with_baselines, deploy, optimize, run_dae_dvfs, DseConfig, FrequencyMap};
+use dae_dvfs::{DseConfig, FrequencyMap, Planner};
 use tinyengine::{plan_memory, qos_window, run_iso_latency, IdlePolicy, TinyEngine};
 use tinynn::models::{mobilenet_v2, paper_models, person_detection, vww};
 
@@ -9,8 +9,10 @@ use tinynn::models::{mobilenet_v2, paper_models, person_detection, vww};
 fn all_models_deploy_under_all_slack_levels() {
     let cfg = DseConfig::paper();
     for model in paper_models() {
+        let planner = Planner::new(&model, &cfg).expect("planner builds");
         for slack in [0.1, 0.3, 0.5] {
-            let report = run_dae_dvfs(&model, slack, &cfg)
+            let report = planner
+                .run(slack)
                 .unwrap_or_else(|e| panic!("{} @ {slack}: {e}", model.name));
             assert!(
                 report.inference_secs <= report.plan.qos_secs + 1e-12,
@@ -28,8 +30,10 @@ fn headline_ordering_holds_everywhere() {
     // never better than its clock-gated variant.
     let cfg = DseConfig::paper();
     for model in paper_models() {
-        for slack in [0.1, 0.3, 0.5] {
-            let cmp = compare_with_baselines(&model, slack, &cfg).expect("comparison runs");
+        let planner = Planner::new(&model, &cfg).expect("planner builds");
+        let slacks = [0.1, 0.3, 0.5];
+        let comparisons = planner.compare_sweep(&slacks).expect("comparison runs");
+        for (slack, cmp) in slacks.into_iter().zip(comparisons) {
             assert!(
                 cmp.ours < cmp.tinyengine_gated,
                 "{} @ {slack}: ours {} vs gated {}",
@@ -50,8 +54,9 @@ fn headline_ordering_holds_everywhere() {
 fn gains_grow_from_tight_to_moderate_slack() {
     let cfg = DseConfig::paper();
     for model in paper_models() {
-        let tight = compare_with_baselines(&model, 0.1, &cfg).expect("tight");
-        let moderate = compare_with_baselines(&model, 0.3, &cfg).expect("moderate");
+        let planner = Planner::new(&model, &cfg).expect("planner builds");
+        let tight = planner.compare_with_baselines(0.1).expect("tight");
+        let moderate = planner.compare_with_baselines(0.3).expect("moderate");
         assert!(
             moderate.gain_vs_tinyengine_pct() > tight.gain_vs_tinyengine_pct(),
             "{}: {:.1}% -> {:.1}%",
@@ -71,11 +76,14 @@ fn plans_are_deterministic() {
         .expect("baseline")
         .total_time_secs;
     let qos = qos_window(baseline, 0.3);
-    let a = optimize(&model, qos, &cfg).expect("first");
-    let b = optimize(&model, qos, &cfg).expect("second");
+    // Two independently built planners: nothing may leak between them.
+    let first = Planner::new(&model, &cfg).expect("first planner");
+    let second = Planner::new(&model, &cfg).expect("second planner");
+    let a = first.optimize(qos).expect("first");
+    let b = second.optimize(qos).expect("second");
     assert_eq!(a, b, "optimization must be deterministic");
-    let ra = deploy(&model, &a, &cfg).expect("deploy a");
-    let rb = deploy(&model, &b, &cfg).expect("deploy b");
+    let ra = first.deploy(&a).expect("deploy a");
+    let rb = second.deploy(&b).expect("deploy b");
     assert_eq!(ra, rb);
 }
 
@@ -87,8 +95,11 @@ fn tight_qos_selects_no_slower_plan_than_relaxed() {
         .run(&model)
         .expect("baseline")
         .total_time_secs;
-    let tight = optimize(&model, qos_window(baseline, 0.1), &cfg).expect("tight");
-    let relaxed = optimize(&model, qos_window(baseline, 0.5), &cfg).expect("relaxed");
+    let planner = Planner::new(&model, &cfg).expect("planner builds");
+    let tight = planner.optimize(qos_window(baseline, 0.1)).expect("tight");
+    let relaxed = planner
+        .optimize(qos_window(baseline, 0.5))
+        .expect("relaxed");
     assert!(tight.predicted_latency_secs <= relaxed.predicted_latency_secs + 1e-9);
     assert!(relaxed.predicted_energy <= tight.predicted_energy);
 }
@@ -101,7 +112,10 @@ fn frequency_maps_cover_every_layer_with_valid_choices() {
         .run(&model)
         .expect("baseline")
         .total_time_secs;
-    let plan = optimize(&model, qos_window(baseline, 0.3), &cfg).expect("plan");
+    let plan = Planner::new(&model, &cfg)
+        .expect("planner builds")
+        .optimize(qos_window(baseline, 0.3))
+        .expect("plan");
     let map = FrequencyMap::from_plan(&plan, 0.3);
     assert_eq!(map.rows.len(), model.layer_count());
     for row in &map.rows {
@@ -141,7 +155,10 @@ fn memory_plans_fit_and_baselines_run_on_shared_machine_state() {
 fn infeasible_window_is_a_clean_error() {
     let cfg = DseConfig::paper();
     let model = vww();
-    let err = optimize(&model, 1e-5, &cfg).expect_err("cannot run in 10 µs");
+    let err = Planner::new(&model, &cfg)
+        .expect("planner builds")
+        .optimize(1e-5)
+        .expect_err("cannot run in 10 µs");
     let msg = err.to_string();
     assert!(msg.contains("infeasible"), "unhelpful message: {msg}");
 }

@@ -8,9 +8,13 @@
 //! `Planner::optimize_sequence` produce identical plans for VWW, person
 //! detection and MobileNet-V2 at the paper's three slack levels.
 
+use std::sync::Arc;
+
+use dae_dvfs::schedule::replay_decisions;
 use dae_dvfs::{
-    dae_segments, pareto_front, solve_dp, solve_sequence, DeploymentPlan, DseConfig, DsePoint,
-    Granularity, LayerDecision, MckpItem, PlanRequest, Planner, Solver, Stm32F767Target,
+    dae_segments, lower_model, pareto_front, solve_dp, solve_sequence, CompiledLayer,
+    DeploymentPlan, DeploymentReport, DseConfig, DsePoint, Granularity, LayerDecision, MckpItem,
+    PlanRequest, Planner, Solver, Stm32F767Target,
 };
 use mcu_sim::{Machine, SegmentClass};
 use stm32_power::Joules;
@@ -256,6 +260,28 @@ fn legacy_optimize_sequence(model: &Model, qos_secs: f64, config: &DseConfig) ->
     }
 }
 
+/// Deploys `plan` on freshly compiled schedules, sharing no cache with
+/// any planner: lower, compile, replay, then idle clock-gated to the
+/// deadline.
+fn fresh_deploy(model: &Model, plan: &DeploymentPlan, config: &DseConfig) -> DeploymentReport {
+    let layers: Vec<CompiledLayer> = lower_model(model)
+        .expect("model lowers")
+        .into_iter()
+        .map(|p| CompiledLayer::compile(p, config))
+        .collect();
+    let power = Arc::new(config.power.clone());
+    let (inference_secs, inference_energy) =
+        replay_decisions(&layers, &plan.decisions, config, &power);
+    let idle_energy = config.power.clock_gated_power * (plan.qos_secs - inference_secs).max(0.0);
+    DeploymentReport {
+        plan: plan.clone(),
+        inference_secs,
+        inference_energy,
+        idle_energy,
+        total_energy: inference_energy + idle_energy,
+    }
+}
+
 // ---- the equivalence assertions ----------------------------------------
 
 fn assert_plans_identical(new: &DeploymentPlan, old: &DeploymentPlan, context: &str) {
@@ -299,10 +325,12 @@ fn planner_optimize_matches_pre_refactor_path_on_all_models() {
 
 #[test]
 fn target_path_and_request_surface_match_legacy_free_functions() {
-    // The full matrix the issue pins: VWW / person detection / MobileNet-V2
-    // at slacks 0.1 / 0.3 / 0.5 — legacy free functions vs `Planner::new`
-    // vs `Planner::for_target(Stm32F767Target::paper())` vs the typed
-    // `PlanRequest` surface, all bit-identical.
+    // The full matrix: VWW / person detection / MobileNet-V2 at slacks
+    // 0.1 / 0.3 / 0.5 — a throw-away planner per point (the historical
+    // single-shot path) vs a shared `Planner::new` vs
+    // `Planner::for_target(Stm32F767Target::paper())` vs the typed
+    // `PlanRequest` surface, all bit-identical; deployments agree with a
+    // replay on freshly compiled schedules.
     let config = DseConfig::paper();
     for model in tinynn::models::paper_models() {
         let via_new = Planner::new(&model, &config).expect("Planner::new builds");
@@ -313,7 +341,10 @@ fn target_path_and_request_surface_match_legacy_free_functions() {
             let qos = qos_window(baseline, slack);
             let context = format!("{} @ {slack}", model.name);
 
-            let wrapper = dae_dvfs::optimize(&model, qos, &config).expect("wrapper optimizes");
+            let throwaway = Planner::new(&model, &config).expect("throw-away planner builds");
+            let single_shot = throwaway
+                .optimize(qos)
+                .expect("throw-away planner optimizes");
             let new_plan = via_new.optimize(qos).expect("new optimizes");
             let target_plan = via_target.optimize(qos).expect("target optimizes");
             let via_qos_request = via_target
@@ -322,28 +353,36 @@ fn target_path_and_request_surface_match_legacy_free_functions() {
             let via_slack_request = via_target
                 .plan(&PlanRequest::slack(slack))
                 .expect("slack request solves");
-            assert_plans_identical(&new_plan, &wrapper, &context);
-            assert_plans_identical(&target_plan, &wrapper, &context);
-            assert_plans_identical(&via_qos_request, &wrapper, &context);
-            assert_plans_identical(&via_slack_request, &wrapper, &context);
-
-            // The deployment report agrees between wrapper and target path.
-            let wrapper_report =
-                dae_dvfs::deploy(&model, &wrapper, &config).expect("wrapper deploys");
-            let target_report = via_target.deploy(&target_plan).expect("target deploys");
-            assert_eq!(wrapper_report.inference_secs, target_report.inference_secs);
+            assert_plans_identical(&new_plan, &single_shot, &context);
+            assert_plans_identical(&target_plan, &single_shot, &context);
+            assert_plans_identical(&via_qos_request, &single_shot, &context);
+            assert_plans_identical(&via_slack_request, &single_shot, &context);
             assert_eq!(
-                wrapper_report.total_energy.as_f64(),
+                single_shot, new_plan,
+                "{context}: throw-away vs shared planner"
+            );
+
+            // The deployment report agrees between the planners and a
+            // fresh-compile replay.
+            let fresh_report = fresh_deploy(&model, &single_shot, &config);
+            let target_report = via_target.deploy(&target_plan).expect("target deploys");
+            assert_eq!(fresh_report.inference_secs, target_report.inference_secs);
+            assert_eq!(
+                fresh_report.total_energy.as_f64(),
                 target_report.total_energy.as_f64()
+            );
+            assert_eq!(
+                via_new.deploy(&new_plan).expect("shared planner deploys"),
+                fresh_report,
+                "{context}: shared planner vs fresh-compile deployment"
             );
 
             // Sequence solver through the request surface.
-            let seq_wrapper =
-                dae_dvfs::optimize_sequence(&model, qos, &config).expect("seq wrapper");
+            let seq_single_shot = throwaway.optimize_sequence(qos).expect("throw-away seq");
             let seq_request = via_target
                 .plan(&PlanRequest::qos(qos).with_solver(Solver::SequenceDp))
                 .expect("seq request solves");
-            assert_plans_identical(&seq_request, &seq_wrapper, &format!("seq {context}"));
+            assert_plans_identical(&seq_request, &seq_single_shot, &format!("seq {context}"));
         }
     }
 }
@@ -386,22 +425,4 @@ fn resweep_matches_sweep_bit_for_bit() {
         let warm = planner.resweep(windows.clone()).expect("resweep solves");
         assert_eq!(warm, cold, "resweep round {round} diverged from sweep");
     }
-}
-
-#[test]
-fn free_function_wrappers_match_planner() {
-    // The thin wrappers construct a throw-away planner; spot-check they
-    // agree with an explicitly shared one.
-    let config = DseConfig::paper();
-    let model = tinynn::models::vww();
-    let planner = Planner::new(&model, &config).expect("planner builds");
-    let qos = qos_window(planner.baseline_latency().expect("baseline"), 0.3);
-    let via_wrapper = dae_dvfs::optimize(&model, qos, &config).expect("wrapper optimizes");
-    let via_planner = planner.optimize(qos).expect("planner optimizes");
-    assert_eq!(via_wrapper, via_planner);
-
-    let deployed_wrapper =
-        dae_dvfs::deploy(&model, &via_wrapper, &config).expect("wrapper deploys");
-    let deployed_planner = planner.deploy(&via_planner).expect("planner deploys");
-    assert_eq!(deployed_wrapper, deployed_planner);
 }

@@ -224,11 +224,7 @@ fn degenerate_inputs_rejected_at_the_api_boundary() {
             "slack"
         );
         assert_eq!(
-            invalid_field(dae_dvfs::run_dae_dvfs(
-                &model,
-                bad_slack,
-                &DseConfig::paper()
-            )),
+            invalid_field(Planner::new(&model, &DseConfig::paper()).and_then(|p| p.run(bad_slack))),
             "slack"
         );
     }
