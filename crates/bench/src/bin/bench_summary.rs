@@ -43,12 +43,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use dae_dvfs::artifact::json;
 use dae_dvfs::{
     mckp_resweep, mckp_sweep, solve_dp, solve_dp_sweep, MckpItem, PlanRequest, PlanServer,
     PlanService, Planner, ServerConfig, ServiceConfig, SolverWorkspace, Stm32F767Target, Target,
 };
-use repro_bench::json::BENCH_SUMMARY_SCHEMA_VERSION;
-use repro_bench::{config, httpc, json, serving};
+use repro_bench::json::{validate_summary, BENCH_SUMMARY_SCHEMA_VERSION};
+use repro_bench::{config, httpc, serving};
 use tinyengine::qos_window;
 use tinynn::models::synth::SplitMix64;
 
@@ -432,19 +433,19 @@ fn measure_server(model: &tinynn::Model) -> ServerRow {
     let requests = 96;
     let trace: Vec<(String, String)> = (0..requests)
         .map(|i| {
-            let body = if i % 2 == 0 {
-                let slack = 0.1 + 0.2 * ((i / 2) % 4) as f64;
-                format!(
-                    "{{\"planner\": {}, \"slack\": {slack}}}",
-                    json::quote(&route)
-                )
-            } else {
-                let window = tinyengine::qos_window(baseline, 0.15 + 0.2 * ((i / 2) % 4) as f64);
-                format!(
-                    "{{\"planner\": {}, \"qos_secs\": {window}}}",
-                    json::quote(&route)
-                )
-            };
+            let step = ((i / 2) % 4) as f64;
+            let mut body = String::new();
+            json::compact(&mut body, |o| {
+                o.str("planner", &route);
+                if i % 2 == 0 {
+                    o.f64("slack", 0.1 + 0.2 * step);
+                } else {
+                    o.f64(
+                        "qos_secs",
+                        tinyengine::qos_window(baseline, 0.15 + 0.2 * step),
+                    );
+                }
+            });
             ("/v1/plan".to_string(), body)
         })
         .collect();
@@ -592,90 +593,83 @@ fn main() {
     let service_row = measure_service(smallest);
     let server_row = measure_server(smallest);
 
-    let rendered: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            json::Object::new()
-                .str_field("model", &r.name)
-                .u64_field("layers", r.layers as u64)
-                .f64_field("planner_construction_secs", r.construction_secs, 6)
-                .f64_field("planner_sweep_secs", r.sweep_secs, 6)
-                .f64_field("percall_loop_secs", r.percall_loop_secs, 6)
-                .f64_field("percall_total_secs", r.percall_total_secs, 6)
-                .f64_field("solver_percall_secs", r.solver_percall_secs, 6)
-                .f64_field("solver_sweep_secs", r.solver_sweep_secs, 6)
-                .f64_field("kernel_fill_secs", r.kernel_fill_secs, 6)
-                .f64_field("kernel_extract_secs", r.kernel_extract_secs, 6)
-                .f64_field("incremental_speedup", r.incremental_speedup, 2)
-                .f64_field("speedup", r.speedup(), 2)
-                .f64_field("sweep_speedup", r.sweep_speedup(), 2)
-                .render()
-        })
-        .collect();
-    let service_json = json::Object::new()
-        .str_field("model", &service_row.model)
-        .u64_field("qos_points", service_row.qos_points as u64)
-        .f64_field("cold_plan_secs", service_row.cold_plan_secs, 6)
-        .f64_field("cache_hit_secs", service_row.cache_hit_secs, 9)
-        .f64_field("cache_hit_speedup", service_row.cache_hit_speedup(), 1)
-        .f64_field("percall_batch_secs", service_row.percall_batch_secs, 6)
-        .f64_field("coalesced_batch_secs", service_row.coalesced_batch_secs, 6)
-        .f64_field("coalescing_speedup", service_row.coalescing_speedup(), 2)
-        .u64_field("trace_requests", service_row.trace_requests as u64)
-        .f64_field("hit_rate", service_row.hit_rate, 4)
-        .f64_field("throughput_rps", service_row.throughput_rps, 1)
-        .f64_field("allocs_per_hit", service_row.allocs_per_hit, 3)
-        .render();
-    let histogram_rows: Vec<String> = server_row
-        .path_histograms
-        .iter()
-        .map(|(label, count, p50_us, p99_us)| {
-            json::Object::new()
-                .str_field("path", label)
-                .u64_field("count", *count)
-                .f64_field("p50_us", *p50_us, 3)
-                .f64_field("p99_us", *p99_us, 3)
-                .render()
-        })
-        .collect();
-    let server_json = json::Object::new()
-        .u64_field("http_requests", server_row.http_requests)
-        .u64_field("cold_solves", server_row.cold_solves)
-        .u64_field("warm_solves", server_row.warm_solves)
-        .u64_field("warm_registry_hits", server_row.warm_registry_hits)
-        .f64_field("http_p50_ms", server_row.http_p50_ms, 3)
-        .f64_field("http_p99_ms", server_row.http_p99_ms, 3)
-        .f64_field("warm_p50_ms", server_row.warm_p50_ms, 3)
-        .f64_field("warm_p99_ms", server_row.warm_p99_ms, 3)
-        .f64_field("inline_hit_rate", server_row.inline_hit_rate, 4)
-        .f64_field("warm_noreceipt_p50_ms", server_row.warm_noreceipt_p50_ms, 3)
-        .f64_field("receipt_overhead_frac", server_row.receipt_overhead_frac, 4)
-        .array_field("path_histograms", &histogram_rows)
-        .render();
-    let mut document = json::Object::new()
-        .str_field("benchmark", "planner_sweep10")
-        .u64_field("schema_version", BENCH_SUMMARY_SCHEMA_VERSION)
-        .str_field("target", Stm32F767Target::paper().id())
-        .u64_field("qos_points", 10)
-        .array_field("models", &rendered)
-        .raw_field("service", service_json)
-        .raw_field("server", server_json)
-        .f64_field(
-            "speedup_geomean",
-            geomean(rows.iter().map(ModelRow::speedup)),
-            2,
-        )
-        .f64_field(
-            "sweep_speedup_geomean",
-            geomean(rows.iter().map(ModelRow::sweep_speedup)),
-            2,
-        )
-        .render_pretty();
+    let mut document = String::new();
+    json::lines(&mut document, |o| {
+        o.str("benchmark", "planner_sweep10")
+            .u64("schema_version", BENCH_SUMMARY_SCHEMA_VERSION)
+            .str("target", Stm32F767Target::paper().id())
+            .u64("qos_points", 10)
+            .array("models", &rows, |out, r| {
+                json::compact(out, |o| {
+                    o.str("model", &r.name)
+                        .u64("layers", r.layers as u64)
+                        .fixed("planner_construction_secs", r.construction_secs, 6)
+                        .fixed("planner_sweep_secs", r.sweep_secs, 6)
+                        .fixed("percall_loop_secs", r.percall_loop_secs, 6)
+                        .fixed("percall_total_secs", r.percall_total_secs, 6)
+                        .fixed("solver_percall_secs", r.solver_percall_secs, 6)
+                        .fixed("solver_sweep_secs", r.solver_sweep_secs, 6)
+                        .fixed("kernel_fill_secs", r.kernel_fill_secs, 6)
+                        .fixed("kernel_extract_secs", r.kernel_extract_secs, 6)
+                        .fixed("incremental_speedup", r.incremental_speedup, 2)
+                        .fixed("speedup", r.speedup(), 2)
+                        .fixed("sweep_speedup", r.sweep_speedup(), 2);
+                })
+            })
+            .object("service", |o| {
+                let s = &service_row;
+                o.str("model", &s.model)
+                    .u64("qos_points", s.qos_points as u64)
+                    .fixed("cold_plan_secs", s.cold_plan_secs, 6)
+                    .fixed("cache_hit_secs", s.cache_hit_secs, 9)
+                    .fixed("cache_hit_speedup", s.cache_hit_speedup(), 1)
+                    .fixed("percall_batch_secs", s.percall_batch_secs, 6)
+                    .fixed("coalesced_batch_secs", s.coalesced_batch_secs, 6)
+                    .fixed("coalescing_speedup", s.coalescing_speedup(), 2)
+                    .u64("trace_requests", s.trace_requests as u64)
+                    .fixed("hit_rate", s.hit_rate, 4)
+                    .fixed("throughput_rps", s.throughput_rps, 1)
+                    .fixed("allocs_per_hit", s.allocs_per_hit, 3);
+            })
+            .object("server", |o| {
+                let s = &server_row;
+                o.u64("http_requests", s.http_requests)
+                    .u64("cold_solves", s.cold_solves)
+                    .u64("warm_solves", s.warm_solves)
+                    .u64("warm_registry_hits", s.warm_registry_hits)
+                    .fixed("http_p50_ms", s.http_p50_ms, 3)
+                    .fixed("http_p99_ms", s.http_p99_ms, 3)
+                    .fixed("warm_p50_ms", s.warm_p50_ms, 3)
+                    .fixed("warm_p99_ms", s.warm_p99_ms, 3)
+                    .fixed("inline_hit_rate", s.inline_hit_rate, 4)
+                    .fixed("warm_noreceipt_p50_ms", s.warm_noreceipt_p50_ms, 3)
+                    .fixed("receipt_overhead_frac", s.receipt_overhead_frac, 4)
+                    .array("path_histograms", &s.path_histograms, |out, row| {
+                        let (path, count, p50_us, p99_us) = *row;
+                        json::compact(out, |o| {
+                            o.str("path", path)
+                                .u64("count", count)
+                                .fixed("p50_us", p50_us, 3)
+                                .fixed("p99_us", p99_us, 3);
+                        })
+                    });
+            })
+            .fixed(
+                "speedup_geomean",
+                geomean(rows.iter().map(ModelRow::speedup)),
+                2,
+            )
+            .fixed(
+                "sweep_speedup_geomean",
+                geomean(rows.iter().map(ModelRow::sweep_speedup)),
+                2,
+            );
+    });
 
     println!("{document}");
     document.push('\n');
 
-    if let Err(reason) = json::validate_summary(&document) {
+    if let Err(reason) = validate_summary(&document) {
         eprintln!("error: emitted summary failed validation: {reason}");
         std::process::exit(1);
     }

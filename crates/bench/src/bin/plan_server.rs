@@ -54,12 +54,13 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use dae_dvfs::artifact::json;
 use dae_dvfs::{
     CoalesceMode, GenericCortexMTarget, OperatingModes, PlanRegistry, PlanRequest, PlanServer,
     PlanService, Planner, PlannerKey, QosBudget, ServerConfig, ServiceConfig, Solver,
     Stm32F767Target, Target,
 };
-use repro_bench::{httpc, json, serving};
+use repro_bench::{httpc, serving};
 use stm32_rcc::Hertz;
 use tinyengine::qos_window;
 use tinynn::models::synth::SplitMix64;
@@ -161,22 +162,25 @@ fn generate_trace(baselines: &[f64], requests: usize, rng: &mut SplitMix64) -> V
 }
 
 /// Serializes one trace request as the `POST /v1/plan` JSON body the
-/// HTTP front end decodes. `f64` `Display` prints the shortest exact
+/// HTTP front end decodes. The writer's `f64` is the shortest exact
 /// round-trip form, so the body re-parses to the bit-identical budget.
 fn request_body(route: &str, request: &PlanRequest) -> String {
-    let mut fields = vec![format!("\"planner\": {}", json::quote(route))];
-    if let QosBudget::Window(window) = request.budget() {
-        fields.push(format!("\"qos_secs\": {window}"));
-    } else if let QosBudget::Slack(slack) = request.budget() {
-        fields.push(format!("\"slack\": {slack}"));
-    }
-    if request.solver() == Solver::SequenceDp {
-        fields.push("\"solver\": \"sequence-dp\"".to_string());
-    }
-    if let Some(resolution) = request.dp_resolution() {
-        fields.push(format!("\"dp_resolution\": {resolution}"));
-    }
-    format!("{{{}}}", fields.join(", "))
+    let mut body = String::new();
+    json::compact(&mut body, |o| {
+        o.str("planner", route);
+        if let QosBudget::Window(window) = request.budget() {
+            o.f64("qos_secs", window);
+        } else if let QosBudget::Slack(slack) = request.budget() {
+            o.f64("slack", slack);
+        }
+        if request.solver() == Solver::SequenceDp {
+            o.str("solver", "sequence-dp");
+        }
+        if let Some(resolution) = request.dp_resolution() {
+            o.u64("dp_resolution", resolution as u64);
+        }
+    });
+    body
 }
 
 /// The service configuration every serving-mode pass shares — the serve
@@ -251,7 +255,7 @@ fn parse_trace(text: &str) -> Vec<TraceRecord> {
         .lines()
         .filter(|line| !line.trim().is_empty())
         .map(|line| {
-            let value = dae_dvfs::artifact::json::parse(line).expect("trace line parses");
+            let value = json::parse(line).expect("trace line parses");
             let record = value
                 .as_object("trace record")
                 .expect("trace record is an object");

@@ -1,118 +1,14 @@
-//! A tiny JSON string builder for the machine-readable outputs.
+//! The `BENCH_SUMMARY.json` schema: its version and its validator.
 //!
-//! The workspace is offline (no serde), so the benchmark and example
-//! binaries hand-roll their JSON. This module centralizes the
-//! string-building that used to live inline in `bench_summary.rs` —
-//! escaping, field assembly, array joining — so every emitter (the bench
-//! summary, the cross-target example's plan index, future reports)
-//! produces consistent, parseable output.
-
-use std::fmt::Write as _;
+//! The bench and example binaries write their JSON with the workspace's
+//! one writer, [`dae_dvfs::artifact::json`], and this module checks the
+//! summary they emit against the same crate's parser.
 
 /// Schema version of the `BENCH_SUMMARY.json` document. This constant is
 /// the single source of truth: `repro-lint`'s consistency rule checks
 /// that the committed `BENCH_SUMMARY.json` and every `schema v<N>`
 /// mention in `DESIGN.md` agree with it.
 pub const BENCH_SUMMARY_SCHEMA_VERSION: u64 = 8;
-
-/// Escapes and quotes a string for JSON.
-///
-/// Delegates to the single escaper the plan-artifact writer uses
-/// ([`dae_dvfs::artifact::json_quote`]) so escaping rules cannot diverge
-/// between emitters.
-pub fn quote(s: &str) -> String {
-    dae_dvfs::artifact::json_quote(s)
-}
-
-/// An ordered JSON object under construction. Values are raw JSON
-/// fragments; use the typed `*_field` methods for scalars.
-#[derive(Debug, Clone, Default)]
-pub struct Object {
-    fields: Vec<(String, String)>,
-}
-
-impl Object {
-    /// An empty object.
-    pub fn new() -> Self {
-        Object::default()
-    }
-
-    /// Appends a raw JSON fragment (an already-rendered object, array or
-    /// scalar).
-    pub fn raw_field(mut self, key: &str, raw: impl Into<String>) -> Self {
-        self.fields.push((key.to_string(), raw.into()));
-        self
-    }
-
-    /// Appends a string field (escaped and quoted).
-    pub fn str_field(self, key: &str, value: &str) -> Self {
-        let quoted = quote(value);
-        self.raw_field(key, quoted)
-    }
-
-    /// Appends an integer field.
-    pub fn u64_field(self, key: &str, value: u64) -> Self {
-        self.raw_field(key, value.to_string())
-    }
-
-    /// Appends a floating-point field with `decimals` fractional digits.
-    pub fn f64_field(self, key: &str, value: f64, decimals: usize) -> Self {
-        self.raw_field(key, format!("{value:.decimals$}"))
-    }
-
-    /// Appends an array field from already-rendered element fragments.
-    pub fn array_field(self, key: &str, elements: &[String]) -> Self {
-        let rendered = render_array(elements);
-        self.raw_field(key, rendered)
-    }
-
-    /// Renders the object compactly (single line).
-    pub fn render(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "{}: {v}", quote(k));
-        }
-        out.push('}');
-        out
-    }
-
-    /// Renders the object with each top-level field on its own line —
-    /// the diff-friendly layout the committed `BENCH_SUMMARY.json` uses.
-    /// Array fields additionally get one line per element.
-    pub fn render_pretty(&self) -> String {
-        let mut out = String::from("{\n");
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            let _ = write!(out, "  {}: ", quote(k));
-            if v == "[]" {
-                out.push_str("[]");
-            } else if v.starts_with('[') && v.ends_with(']') {
-                // Re-indent array elements (top-level commas only).
-                let inner = &v[1..v.len() - 1];
-                out.push_str("[\n");
-                for element in split_top_level(inner) {
-                    let _ = write!(out, "    {element}");
-                    out.push_str(",\n");
-                }
-                // Drop the trailing comma of the last element.
-                out.truncate(out.len() - 2);
-                out.push('\n');
-                out.push_str("  ]");
-            } else {
-                out.push_str(v);
-            }
-            out.push_str(if i + 1 < self.fields.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push('}');
-        out
-    }
-}
 
 /// Validates a rendered `BENCH_SUMMARY.json` document against the current
 /// schema ([`BENCH_SUMMARY_SCHEMA_VERSION`]). It must parse under the
@@ -223,84 +119,47 @@ pub fn validate_summary(document: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Renders an array from already-rendered element fragments.
-pub fn render_array(elements: &[String]) -> String {
-    let mut out = String::from("[");
-    for (i, e) in elements.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(e);
-    }
-    out.push(']');
-    out
-}
-
-/// Splits a comma-joined fragment list at top level (commas inside
-/// nested brackets, braces or strings do not split).
-fn split_top_level(s: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let (mut depth, mut start, mut in_str, mut escaped) = (0i32, 0usize, false, false);
-    for (i, b) in s.bytes().enumerate() {
-        if in_str {
-            match b {
-                _ if escaped => escaped = false,
-                b'\\' => escaped = true,
-                b'"' => in_str = false,
-                _ => {}
-            }
-            continue;
-        }
-        match b {
-            b'"' => in_str = true,
-            b'[' | b'{' => depth += 1,
-            b']' | b'}' => depth -= 1,
-            b',' if depth == 0 => {
-                out.push(s[start..i].trim());
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    let tail = s[start..].trim();
-    if !tail.is_empty() {
-        out.push(tail);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dae_dvfs::artifact::json;
+
+    // The layouts the report documents (`BENCH_SUMMARY.json`,
+    // `CROSS_TARGET.json`) are written in, pinned byte for byte.
 
     #[test]
     fn quote_escapes_specials() {
-        assert_eq!(quote("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(quote("plain"), "\"plain\"");
+        let mut out = String::new();
+        json::compact(&mut out, |o| {
+            o.str("q", "a\"b\\c\nd").str("p", "plain");
+        });
+        assert_eq!(out, "{\"q\": \"a\\\"b\\\\c\\nd\", \"p\": \"plain\"}");
     }
 
     #[test]
     fn object_renders_in_insertion_order() {
-        let obj = Object::new()
-            .str_field("name", "vww")
-            .u64_field("layers", 19)
-            .f64_field("speedup", 3.844, 2);
+        let mut out = String::new();
+        json::compact(&mut out, |o| {
+            o.str("name", "vww")
+                .u64("layers", 19)
+                .fixed("speedup", 3.844, 2);
+        });
         assert_eq!(
-            obj.render(),
+            out,
             "{\"name\": \"vww\", \"layers\": 19, \"speedup\": 3.84}"
         );
     }
 
     #[test]
     fn pretty_rendering_expands_arrays() {
-        let rows = vec![
-            Object::new().str_field("m", "a").render(),
-            Object::new().str_field("m", "b").render(),
-        ];
-        let out = Object::new()
-            .u64_field("v", 1)
-            .array_field("models", &rows)
-            .render_pretty();
+        let mut out = String::new();
+        json::lines(&mut out, |o| {
+            o.u64("v", 1).array("models", ["a", "b"], |out, m| {
+                json::compact(out, |o| {
+                    o.str("m", m);
+                })
+            });
+        });
         assert_eq!(
             out,
             "{\n  \"v\": 1,\n  \"models\": [\n    {\"m\": \"a\"},\n    {\"m\": \"b\"}\n  ]\n}"
@@ -309,15 +168,19 @@ mod tests {
 
     #[test]
     fn empty_array_field_renders_inline() {
-        let out = Object::new().array_field("models", &[]).render_pretty();
+        let mut out = String::new();
+        json::lines(&mut out, |o| {
+            o.array("models", [(); 0], |_, ()| {});
+        });
         assert_eq!(out, "{\n  \"models\": []\n}");
     }
 
     #[test]
     fn nested_arrays_survive_pretty_rendering() {
-        let out = Object::new()
-            .array_field("grid", &["[1, 2]".to_string(), "[3, 4]".to_string()])
-            .render_pretty();
+        let mut out = String::new();
+        json::lines(&mut out, |o| {
+            o.array("grid", ["[1, 2]", "[3, 4]"], |out, row| out.push_str(row));
+        });
         assert_eq!(out, "{\n  \"grid\": [\n    [1, 2],\n    [3, 4]\n  ]\n}");
     }
 
@@ -358,39 +221,41 @@ mod tests {
         ("p99_us", "255.0"),
     ];
 
-    /// `fields` as an object, leaving out the field named `skip`.
-    fn object_without(fields: &[(&str, &str)], skip: &str) -> Object {
-        fields
-            .iter()
-            .filter(|(key, _)| *key != skip)
-            .fold(Object::new(), |obj, (key, raw)| obj.raw_field(key, *raw))
-    }
-
     /// A complete current-schema summary with the field `skip` removed
     /// (wherever it lives) and the array field `empty` left empty.
     fn summary_without(skip: &str, empty: &str) -> String {
-        let rows = |name: &str, row: &[(&str, &str)]| -> Vec<String> {
-            if name == empty {
-                Vec::new()
-            } else {
-                vec![object_without(row, skip).render()]
+        let fields = |o: &mut json::Writer<'_>, fields: &[(&str, &str)]| {
+            for (key, raw) in fields.iter().filter(|(key, _)| *key != skip) {
+                o.raw(key, raw);
             }
         };
-        let mut server = object_without(SERVER, skip);
-        if skip != "path_histograms" {
-            server = server.array_field("path_histograms", &rows("path_histograms", HISTOGRAM_ROW));
-        }
-        let models = render_array(&rows("models", MODEL_ROW));
-        [
-            ("schema_version", BENCH_SUMMARY_SCHEMA_VERSION.to_string()),
-            ("models", models),
-            ("service", object_without(SERVICE, skip).render()),
-            ("server", server.render()),
-        ]
-        .into_iter()
-        .filter(|(key, _)| *key != skip)
-        .fold(Object::new(), |obj, (key, raw)| obj.raw_field(key, raw))
-        .render_pretty()
+        let rows = |name: &str, row| if name == empty { None } else { Some(row) };
+        let mut out = String::new();
+        json::lines(&mut out, |o| {
+            if skip != "schema_version" {
+                o.u64("schema_version", BENCH_SUMMARY_SCHEMA_VERSION);
+            }
+            if skip != "models" {
+                o.array("models", rows("models", MODEL_ROW), |out, row| {
+                    json::compact(out, |o| fields(o, row))
+                });
+            }
+            if skip != "service" {
+                o.object("service", |o| fields(o, SERVICE));
+            }
+            if skip != "server" {
+                o.object("server", |o| {
+                    fields(o, SERVER);
+                    if skip != "path_histograms" {
+                        let histograms = rows("path_histograms", HISTOGRAM_ROW);
+                        o.array("path_histograms", histograms, |out, row| {
+                            json::compact(out, |o| fields(o, row))
+                        });
+                    }
+                });
+            }
+        });
+        out
     }
 
     /// Asserts that a complete summary validates and that removing any one
@@ -487,13 +352,5 @@ mod tests {
             "p99_us",
         ]);
         assert_non_empty("path_histograms");
-    }
-
-    #[test]
-    fn top_level_split_ignores_nested_commas() {
-        assert_eq!(
-            split_top_level("{\"a\": [1, 2]}, {\"b\": \"x,y\"}, 3"),
-            vec!["{\"a\": [1, 2]}", "{\"b\": \"x,y\"}", "3"]
-        );
     }
 }

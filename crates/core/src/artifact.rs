@@ -9,8 +9,9 @@
 //!
 //! # Schema
 //!
-//! The artifact is a single JSON object (hand-rolled writer and parser —
-//! the workspace is offline, so no serde):
+//! The artifact is a single JSON object, written and read by this
+//! module's [`json`] writer and parser — the workspace's only JSON code
+//! (it is offline, so no serde):
 //!
 //! ```json
 //! {
@@ -242,66 +243,42 @@ impl PlanArtifact {
         })
     }
 
-    /// Serializes the artifact to its JSON schema.
+    /// Serializes the artifact to its JSON schema (the [`json::lines`]
+    /// layout, newline-terminated).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256 + 256 * self.decisions.len());
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"artifact\": \"{ARTIFACT_KIND}\",");
-        let _ = writeln!(out, "  \"schema_version\": {},", self.schema_version);
-        let _ = writeln!(out, "  \"target\": {},", json_quote(&self.target));
-        let _ = writeln!(out, "  \"model\": {},", json_quote(&self.model));
-        let _ = writeln!(
-            out,
-            "  \"model_fingerprint\": \"{:016x}\",",
-            self.model_fingerprint
-        );
-        let _ = writeln!(
-            out,
-            "  \"config_fingerprint\": \"{:016x}\",",
-            self.config_fingerprint
-        );
-        let _ = writeln!(out, "  \"qos_secs\": {},", json_f64(self.qos_secs));
-        let _ = writeln!(
-            out,
-            "  \"predicted_latency_secs\": {},",
-            json_f64(self.predicted_latency_secs)
-        );
-        let _ = writeln!(
-            out,
-            "  \"predicted_energy_j\": {},",
-            json_f64(self.predicted_energy_j)
-        );
-        out.push_str("  \"decisions\": [\n");
-        for (i, d) in self.decisions.iter().enumerate() {
-            let source = match d.hfo.source() {
-                ClockSource::Hsi => "\"source\": \"hsi\", \"source_hz\": 0".to_string(),
-                ClockSource::Hse(f) => {
-                    format!("\"source\": \"hse\", \"source_hz\": {}", f.as_u64())
-                }
-            };
-            let _ = write!(
-                out,
-                "    {{\"layer\": {}, \"kind\": \"{}\", \"granularity\": {}, {source}, \
-                 \"pllm\": {}, \"plln\": {}, \"pllp\": {}, \"latency_secs\": {}, \
-                 \"energy_j\": {}, \"switches\": {}, \"first_stage_secs\": {}}}",
-                json_quote(&d.layer),
-                d.kind,
-                d.granularity,
-                d.hfo.pllm(),
-                d.hfo.plln(),
-                d.hfo.pllp(),
-                json_f64(d.latency_secs),
-                json_f64(d.energy_j),
-                d.switches,
-                json_f64(d.first_stage_secs),
-            );
-            out.push_str(if i + 1 < self.decisions.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
+        json::lines(&mut out, |o| {
+            o.str("artifact", ARTIFACT_KIND)
+                .u64("schema_version", self.schema_version.into())
+                .str("target", &self.target)
+                .str("model", &self.model)
+                .hex64("model_fingerprint", self.model_fingerprint)
+                .hex64("config_fingerprint", self.config_fingerprint)
+                .f64("qos_secs", self.qos_secs)
+                .f64("predicted_latency_secs", self.predicted_latency_secs)
+                .f64("predicted_energy_j", self.predicted_energy_j)
+                .array("decisions", &self.decisions, |out, d| {
+                    let (source, source_hz) = match d.hfo.source() {
+                        ClockSource::Hsi => ("hsi", 0),
+                        ClockSource::Hse(f) => ("hse", f.as_u64()),
+                    };
+                    json::compact(out, |o| {
+                        o.str("layer", &d.layer)
+                            .str("kind", d.kind.as_str())
+                            .u64("granularity", d.granularity.into())
+                            .str("source", source)
+                            .u64("source_hz", source_hz)
+                            .u64("pllm", d.hfo.pllm().into())
+                            .u64("plln", d.hfo.plln().into())
+                            .u64("pllp", d.hfo.pllp().into())
+                            .f64("latency_secs", d.latency_secs)
+                            .f64("energy_j", d.energy_j)
+                            .u64("switches", d.switches)
+                            .f64("first_stage_secs", d.first_stage_secs);
+                    });
+                });
+        });
+        out.push('\n');
         out
     }
 
@@ -472,51 +449,182 @@ fn parse_err(reason: String) -> DaeDvfsError {
     DaeDvfsError::ArtifactParse { reason }
 }
 
-/// Escapes and quotes a string for JSON.
-///
-/// Shared by every hand-rolled JSON emitter in the workspace (the
-/// artifact writer here, `repro_bench::json` downstream) so escaping
-/// rules cannot diverge.
-pub fn json_quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Formats a finite `f64` so that parsing the text recovers the exact bit
-/// pattern (Rust's `Display` is shortest-round-trip). Always includes a
-/// decimal point or exponent-free integer form acceptable to JSON.
-fn json_f64(v: f64) -> String {
-    debug_assert!(v.is_finite(), "plan artifacts require finite values");
-    // `Display` prints integral floats without a fraction ("3"), which is
-    // valid JSON; negative zero round-trips as "-0".
-    format!("{v}")
-}
-
-/// The minimal JSON subset parser behind [`PlanArtifact::from_json`]:
-/// objects, arrays, strings (with escapes), numbers (kept as raw text so
-/// `f64` parsing is exact), booleans and null.
-///
-/// Public so downstream emitters (e.g. `repro_bench`'s benchmark summary)
-/// can self-validate their hand-rolled output against the same parser the
-/// plan-artifact reader uses, instead of growing a second one.
 pub mod json {
+    //! The workspace's one JSON writer and one JSON parser.
+    //!
+    //! The parser ([`parse`]) reads the subset every document here uses:
+    //! objects, arrays, strings (with escapes), numbers (kept as raw text so
+    //! `f64` parsing is exact), booleans and null, nested at most
+    //! [`MAX_DEPTH`] deep.
+    //!
+    //! The writer streams fields straight into a `String` in one of two
+    //! layouts, picked by the kind of document: [`compact`] (receipts, trace
+    //! lines, error and request bodies) or [`lines`] (plan artifacts,
+    //! registry envelopes, `/stats` and the report files). Every emitter in
+    //! the workspace goes through it, so escaping and number formatting
+    //! cannot diverge, and every document it writes reads back with
+    //! [`parse`].
+
+    use std::fmt::Write as _;
+
     use super::parse_err;
     use crate::error::DaeDvfsError;
+
+    /// Deepest `[`/`{` nesting [`parse`] accepts. Real documents nest at
+    /// most 4 deep (registry envelope → artifact → decisions → decision);
+    /// the bound keeps a hostile request body from exhausting the stack
+    /// (RFC 8259 §9 permits the limit).
+    pub const MAX_DEPTH: usize = 128;
+
+    /// Writes one compact JSON object into `out`: `{"a": 1, "b": 2}`.
+    /// `fields` adds the members in order.
+    pub fn compact(out: &mut String, fields: impl FnOnce(&mut Writer<'_>)) {
+        out.push('{');
+        let mut writer = Writer {
+            out,
+            lines: false,
+            empty: true,
+        };
+        fields(&mut writer);
+        writer.out.push('}');
+    }
+
+    /// Writes one JSON object into `out` with each top-level field on its
+    /// own line and each array element on its own line; nested values are
+    /// compact. The diff-friendly layout of documents people read.
+    pub fn lines(out: &mut String, fields: impl FnOnce(&mut Writer<'_>)) {
+        out.push_str("{\n");
+        let mut writer = Writer {
+            out,
+            lines: true,
+            empty: true,
+        };
+        fields(&mut writer);
+        writer.out.push_str(if writer.empty { "}" } else { "\n}" });
+    }
+
+    /// The members of one object being written by [`compact`] or
+    /// [`lines`]. Each method appends one field and returns the writer.
+    pub struct Writer<'a> {
+        out: &'a mut String,
+        lines: bool,
+        empty: bool,
+    }
+
+    impl Writer<'_> {
+        /// Starts the next field (separator, indent, quoted key) and
+        /// returns the buffer its value goes into.
+        fn key(&mut self, key: &str) -> &mut String {
+            if !self.empty {
+                self.out.push_str(if self.lines { ",\n" } else { ", " });
+            }
+            if self.lines {
+                self.out.push_str("  ");
+            }
+            self.empty = false;
+            escape(self.out, key);
+            self.out.push_str(": ");
+            self.out
+        }
+
+        /// A string, escaped and quoted.
+        pub fn str(&mut self, key: &str, value: &str) -> &mut Self {
+            escape(self.key(key), value);
+            self
+        }
+
+        /// An integer.
+        pub fn u64(&mut self, key: &str, value: u64) -> &mut Self {
+            let _ = write!(self.key(key), "{value}");
+            self
+        }
+
+        /// A finite `f64` in Rust's shortest round-trip form, so parsing
+        /// the text recovers the exact bits (`3` for integral values,
+        /// `-0` for negative zero).
+        pub fn f64(&mut self, key: &str, value: f64) -> &mut Self {
+            debug_assert!(value.is_finite(), "JSON has no non-finite numbers");
+            let _ = write!(self.key(key), "{value}");
+            self
+        }
+
+        /// An `f64` with exactly `decimals` fractional digits, for reports.
+        pub fn fixed(&mut self, key: &str, value: f64, decimals: usize) -> &mut Self {
+            let _ = write!(self.key(key), "{value:.decimals$}");
+            self
+        }
+
+        /// A 64-bit fingerprint as a quoted 16-digit hex string (read back
+        /// with [`Object::get_hex64`]).
+        pub fn hex64(&mut self, key: &str, value: u64) -> &mut Self {
+            let _ = write!(self.key(key), "\"{value:016x}\"");
+            self
+        }
+
+        /// An already-rendered JSON value, embedded verbatim.
+        pub fn raw(&mut self, key: &str, json: &str) -> &mut Self {
+            self.key(key).push_str(json);
+            self
+        }
+
+        /// A nested object, always compact.
+        pub fn object(&mut self, key: &str, fields: impl FnOnce(&mut Writer<'_>)) -> &mut Self {
+            compact(self.key(key), fields);
+            self
+        }
+
+        /// An array; `element` writes each item's value into the buffer
+        /// (objects with [`compact`]). In a [`lines`] document every
+        /// element gets its own line. An empty array is `[]`.
+        pub fn array<T>(
+            &mut self,
+            key: &str,
+            items: impl IntoIterator<Item = T>,
+            mut element: impl FnMut(&mut String, T),
+        ) -> &mut Self {
+            let (open, separator, close) = if self.lines {
+                ("[\n    ", ",\n    ", "\n  ]")
+            } else {
+                ("[", ", ", "]")
+            };
+            let out = self.key(key);
+            let mut empty = true;
+            for item in items {
+                out.push_str(if empty { open } else { separator });
+                empty = false;
+                element(out, item);
+            }
+            out.push_str(if empty { "[]" } else { close });
+            self
+        }
+    }
+
+    /// The one JSON string escaper: quotes `s`, escaping `"`, `\` and
+    /// the control characters (`\n`, `\r`, `\t`, else `\u00XX`).
+    fn escape(out: &mut String, s: &str) {
+        out.push('"');
+        let mut run = 0;
+        for (i, b) in s.bytes().enumerate() {
+            if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+                continue;
+            }
+            // Escapable bytes are ASCII, so `i` is a char boundary.
+            out.push_str(&s[run..i]);
+            run = i + 1;
+            match b {
+                b'"' => out.push_str("\\\""),
+                b'\\' => out.push_str("\\\\"),
+                b'\n' => out.push_str("\\n"),
+                b'\r' => out.push_str("\\r"),
+                b'\t' => out.push_str("\\t"),
+                _ => {
+                    let _ = write!(out, "\\u{b:04x}");
+                }
+            }
+        }
+        out.push_str(&s[run..]);
+        out.push('"');
+    }
 
     /// A parsed JSON value. Numbers keep their raw text.
     #[derive(Debug, Clone, PartialEq)]
@@ -597,6 +705,7 @@ pub mod json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -610,6 +719,8 @@ pub mod json {
     struct Parser<'a> {
         bytes: &'a [u8],
         pos: usize,
+        /// Arrays and objects currently open around `pos`.
+        depth: usize,
     }
 
     impl Parser<'_> {
@@ -653,8 +764,22 @@ pub mod json {
 
         fn value(&mut self) -> Result<Value, DaeDvfsError> {
             match self.peek()? {
-                b'{' => self.object(),
-                b'[' => self.array(),
+                open @ (b'{' | b'[') => {
+                    if self.depth == MAX_DEPTH {
+                        return Err(parse_err(format!(
+                            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                            self.pos
+                        )));
+                    }
+                    self.depth += 1;
+                    let value = if open == b'{' {
+                        self.object()
+                    } else {
+                        self.array()
+                    };
+                    self.depth -= 1;
+                    value
+                }
                 b'"' => Ok(Value::Str(self.string()?)),
                 b't' => self.expect_literal("true").map(|()| Value::Bool(true)),
                 b'f' => self.expect_literal("false").map(|()| Value::Bool(false)),
@@ -1037,13 +1162,28 @@ mod tests {
             "with \"quotes\" and \\backslashes\\",
             "control\tchars\nnewline\r",
             "unicode: Ωμέγα 漢字 🎛",
+            "\u{1}\u{1f}\u{7f}",
         ] {
-            let quoted = json_quote(s);
-            match json::parse(&quoted).expect("parses") {
-                json::Value::Str(back) => assert_eq!(back, s),
-                other => panic!("expected string, got {other:?}"),
-            }
+            let mut text = String::new();
+            json::compact(&mut text, |o| {
+                o.str(s, s);
+            });
+            // Keys and values share the escaper.
+            let expected = json::Value::Obj(vec![(s.into(), json::Value::Str(s.into()))]);
+            assert_eq!(json::parse(&text).expect("parses"), expected, "{text}");
         }
+    }
+
+    #[test]
+    fn nesting_past_the_depth_limit_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        assert!(matches!(
+            json::parse(&deep),
+            Err(DaeDvfsError::ArtifactParse { .. })
+        ));
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(json::parse(&nested(json::MAX_DEPTH)).is_ok());
+        assert!(json::parse(&nested(json::MAX_DEPTH + 1)).is_err());
     }
 
     #[test]
@@ -1052,5 +1192,32 @@ mod tests {
             json::Value::Str(s) => assert_eq!(s, "é🎛"),
             other => panic!("expected string, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn artifact_json_bytes_are_pinned() {
+        // The artifact bytes are the HTTP response, the registry payload
+        // and the input to every receipt's plan hash: quotes, a newline,
+        // an inexact sum, `-0`, `1e300` and `f64::MIN_POSITIVE` render
+        // exactly as below.
+        let artifact = PlanArtifact::from_plan(&sample_plan(), "stm32f767", 0xdead_beef, 0x1234);
+        let expected = concat!(
+            "{\n",
+            "  \"artifact\": \"dae-dvfs-deployment-plan\",\n",
+            "  \"schema_version\": 1,\n",
+            "  \"target\": \"stm32f767\",\n",
+            "  \"model\": \"unit \\\"quoted\\\"\\nmodel\",\n",
+            "  \"model_fingerprint\": \"00000000deadbeef\",\n",
+            "  \"config_fingerprint\": \"0000000000001234\",\n",
+            "  \"qos_secs\": 0.30000000000000004,\n",
+            "  \"predicted_latency_secs\": 0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000022250738585072014,\n",
+            "  \"predicted_energy_j\": 1000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000,\n",
+            "  \"decisions\": [\n",
+            "    {\"layer\": \"pw0\", \"kind\": \"pointwise\", \"granularity\": 8, \"source\": \"hse\", \"source_hz\": 50000000, \"pllm\": 25, \"plln\": 150, \"pllp\": 2, \"latency_secs\": 0.0012345678901234567, \"energy_j\": 0.00007, \"switches\": 17, \"first_stage_secs\": 0.0000033},\n",
+            "    {\"layer\": \"rest1\", \"kind\": \"rest\", \"granularity\": 0, \"source\": \"hse\", \"source_hz\": 50000000, \"pllm\": 25, \"plln\": 216, \"pllp\": 2, \"latency_secs\": 0.25, \"energy_j\": -0, \"switches\": 0, \"first_stage_secs\": 0}\n",
+            "  ]\n",
+            "}\n",
+        );
+        assert_eq!(artifact.to_json(), expected);
     }
 }

@@ -27,6 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
+use crate::artifact::json;
 use crate::service::PlanKey;
 
 /// Nanoseconds since an arbitrary process-local epoch (the first call).
@@ -191,27 +192,27 @@ impl Receipt {
         )
     }
 
-    /// JSON rendering for `GET /v1/receipt/<fp>` and trace records.
+    /// JSON rendering for `GET /v1/receipt/<fp>` (one compact object).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"fingerprint\": \"{:016x}\", \"path\": \"{}\", \"batch\": {}, \
-             \"solver\": \"{}\", \"artifact_schema_version\": {}, \
-             \"plan_hash\": \"{:016x}\", \"model_fingerprint\": \"{:016x}\", \
-             \"config_fingerprint\": \"{:016x}\", \"window_bits\": \"{:016x}\", \
-             \"dp_resolution\": {}, \"solve_ns\": {}, \"total_ns\": {}}}",
-            self.fingerprint(),
-            self.path.label(),
-            self.path.batch(),
-            self.solver,
-            self.artifact_schema_version,
-            self.plan_hash,
-            self.key.model_fingerprint,
-            self.key.config_fingerprint,
-            self.key.window_bits,
-            self.key.dp_resolution,
-            self.solve_nanos,
-            self.total_nanos,
-        )
+        let mut out = String::with_capacity(384);
+        json::compact(&mut out, |o| {
+            o.hex64("fingerprint", self.fingerprint())
+                .str("path", self.path.label())
+                .u64("batch", self.path.batch().into())
+                .str("solver", self.solver)
+                .u64(
+                    "artifact_schema_version",
+                    self.artifact_schema_version.into(),
+                )
+                .hex64("plan_hash", self.plan_hash)
+                .hex64("model_fingerprint", self.key.model_fingerprint)
+                .hex64("config_fingerprint", self.key.config_fingerprint)
+                .hex64("window_bits", self.key.window_bits)
+                .u64("dp_resolution", self.key.dp_resolution as u64)
+                .u64("solve_ns", self.solve_nanos)
+                .u64("total_ns", self.total_nanos);
+        });
+        out
     }
 }
 
@@ -501,5 +502,20 @@ mod tests {
         // FNV-1a offset basis: the hash of the empty input.
         assert_eq!(plan_hash(b""), 0xcbf2_9ce4_8422_2325);
         assert_ne!(plan_hash(b"a"), plan_hash(b"b"));
+    }
+
+    #[test]
+    fn receipt_json_bytes_are_pinned() {
+        let receipt = Receipt {
+            key: key(),
+            path: ServePath::Coalesced { batch: 3 },
+            solver: "reserve-grid",
+            artifact_schema_version: 1,
+            plan_hash: 0xdead_beef_0123_4567,
+            solve_nanos: 42_000,
+            total_nanos: 99_000,
+        };
+        let expected = "{\"fingerprint\": \"9e7b673118e0ec15\", \"path\": \"coalesced\", \"batch\": 3, \"solver\": \"reserve-grid\", \"artifact_schema_version\": 1, \"plan_hash\": \"deadbeef01234567\", \"model_fingerprint\": \"1111222233334444\", \"config_fingerprint\": \"5555666677778888\", \"window_bits\": \"3fd0000000000000\", \"dp_resolution\": 2000, \"solve_ns\": 42000, \"total_ns\": 99000}";
+        assert_eq!(receipt.to_json(), expected);
     }
 }

@@ -181,21 +181,17 @@ impl PlanRegistry {
     /// store was given (and exactly the response bytes the service's
     /// byte cache serves).
     fn render_envelope(key: PlanKey, artifact_json: &str) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str("{\n");
-        out.push_str(&format!("  \"registry\": \"{REGISTRY_KIND}\",\n"));
-        out.push_str(&format!(
-            "  \"registry_schema_version\": {REGISTRY_SCHEMA_VERSION},\n"
-        ));
-        out.push_str(&format!("  \"solver\": \"{}\",\n", solver_tag(key.solver)));
-        out.push_str(&format!(
-            "  \"window_bits\": \"{:016x}\",\n",
-            key.window_bits
-        ));
-        out.push_str(&format!("  \"dp_resolution\": {},\n", key.dp_resolution));
-        out.push_str("  \"artifact\": ");
-        out.push_str(artifact_json.trim_end());
-        out.push_str("\n}\n");
+        let artifact_json = artifact_json.trim_end();
+        let mut out = String::with_capacity(192 + artifact_json.len());
+        json::lines(&mut out, |o| {
+            o.str("registry", REGISTRY_KIND)
+                .u64("registry_schema_version", REGISTRY_SCHEMA_VERSION.into())
+                .str("solver", solver_tag(key.solver))
+                .hex64("window_bits", key.window_bits)
+                .u64("dp_resolution", key.dp_resolution as u64)
+                .raw("artifact", artifact_json);
+        });
+        out.push('\n');
         out
     }
 
@@ -601,5 +597,31 @@ mod tests {
         assert!(registry.load(key, &planner).is_none());
         assert_eq!(registry.stats().quarantined, 1);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn envelope_bytes_are_pinned() {
+        let key = PlanKey {
+            model_fingerprint: 0x1588_4ffb_a99f_6c42,
+            config_fingerprint: 0x384d_419b_0a84_7872,
+            solver: Solver::SequenceDp,
+            window_bits: 0.25f64.to_bits(),
+            dp_resolution: 2000,
+        };
+        // The artifact is embedded verbatim, minus its trailing newline.
+        let envelope = PlanRegistry::render_envelope(key, "{\n  \"artifact\": \"x\"\n}\n");
+        let expected = concat!(
+            "{\n",
+            "  \"registry\": \"dae-dvfs-plan-registry-entry\",\n",
+            "  \"registry_schema_version\": 1,\n",
+            "  \"solver\": \"sequence-dp\",\n",
+            "  \"window_bits\": \"3fd0000000000000\",\n",
+            "  \"dp_resolution\": 2000,\n",
+            "  \"artifact\": {\n",
+            "  \"artifact\": \"x\"\n",
+            "}\n",
+            "}\n",
+        );
+        assert_eq!(envelope, expected);
     }
 }

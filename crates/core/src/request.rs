@@ -4,8 +4,8 @@
 //! argument soup of the historical free functions with a builder that
 //! names every knob — the QoS budget (absolute window or slack over the
 //! baseline), the solver, and an optional DP-resolution override — and
-//! rejects degenerate values (`NaN`, non-positive times, zero resolution)
-//! with [`DaeDvfsError::InvalidRequest`] *before* any DSE or solver work
+//! rejects degenerate values (`NaN`, non-positive times, a zero or
+//! oversized resolution) with [`DaeDvfsError::InvalidRequest`] *before* any DSE or solver work
 //! runs, instead of silently producing a degenerate plan.
 //!
 //! ```
@@ -59,6 +59,12 @@ pub struct PlanRequest {
 }
 
 impl PlanRequest {
+    /// Largest DP-resolution override a request may ask for: 32× the
+    /// default ([`crate::DseConfig::DEFAULT_DP_RESOLUTION`]) and well
+    /// past any useful resolution. The DP tables grow linearly with it,
+    /// so an unbounded value from a request body could exhaust memory.
+    pub const MAX_DP_RESOLUTION: usize = 1 << 16;
+
     /// A request for an absolute QoS window of `qos_secs` seconds.
     pub fn qos(qos_secs: f64) -> Self {
         PlanRequest {
@@ -113,17 +119,22 @@ impl PlanRequest {
     ///
     /// [`DaeDvfsError::InvalidRequest`] naming the offending field when
     /// the budget is NaN, infinite, zero or negative, or the resolution
-    /// override is zero.
+    /// override is zero or above [`PlanRequest::MAX_DP_RESOLUTION`].
     pub fn validate(&self) -> Result<(), DaeDvfsError> {
         match self.budget {
             QosBudget::Window(qos) => validate_positive_time("qos_secs", qos)?,
             QosBudget::Slack(slack) => validate_positive_time("slack", slack)?,
         }
-        if self.dp_resolution == Some(0) {
-            return Err(DaeDvfsError::InvalidRequest {
-                field: "dp_resolution",
-                reason: "must be non-zero".into(),
-            });
+        if let Some(resolution) = self.dp_resolution {
+            if resolution == 0 || resolution > Self::MAX_DP_RESOLUTION {
+                return Err(DaeDvfsError::InvalidRequest {
+                    field: "dp_resolution",
+                    reason: format!(
+                        "must be in 1..={}, got {resolution}",
+                        Self::MAX_DP_RESOLUTION
+                    ),
+                });
+            }
         }
         Ok(())
     }
@@ -206,6 +217,10 @@ mod tests {
     fn zero_resolution_override_rejected() {
         let r = PlanRequest::qos(0.5).with_dp_resolution(0);
         assert_eq!(rejected_field(&r), "dp_resolution");
+        let r = PlanRequest::qos(0.5).with_dp_resolution(PlanRequest::MAX_DP_RESOLUTION + 1);
+        assert_eq!(rejected_field(&r), "dp_resolution");
+        let r = PlanRequest::qos(0.5).with_dp_resolution(PlanRequest::MAX_DP_RESOLUTION);
+        assert!(r.validate().is_ok());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!
 //! [`PlanService`]: crate::PlanService
 
-use crate::artifact::{json, json_quote};
+use crate::artifact::json;
 use crate::error::{DaeDvfsError, ServiceError};
 use crate::request::PlanRequest;
 use crate::service::ServiceStats;
@@ -24,11 +24,16 @@ use super::PlanServer;
 
 /// Builds a JSON error response: `{"error": "<message>"}`.
 pub(crate) fn error_response(status: u16, reason: &'static str, message: &str) -> Response {
+    let mut body = String::with_capacity(16 + message.len());
+    json::compact(&mut body, |o| {
+        o.str("error", message);
+    });
+    body.push('\n');
     Response {
         status,
         reason,
         content_type: "application/json",
-        body: Body::Owned(format!("{{\"error\": {}}}\n", json_quote(message)).into_bytes()),
+        body: Body::Owned(body.into_bytes()),
         receipt: None,
     }
 }
@@ -196,7 +201,9 @@ fn decode_plan_request(body: &str) -> Result<(String, PlanRequest), String> {
     }
     if obj.get("dp_resolution").is_ok() {
         let resolution = obj.get_u64("dp_resolution").map_err(|e| e.to_string())?;
-        request = request.with_dp_resolution(resolution as usize);
+        let resolution = usize::try_from(resolution)
+            .map_err(|_| format!("dp_resolution {resolution} does not fit this platform"))?;
+        request = request.with_dp_resolution(resolution);
     }
     Ok((planner, request))
 }
@@ -249,68 +256,40 @@ fn plan_response(server: &PlanServer<'_>, body: &[u8]) -> Response {
     }
 }
 
-/// Hand-rolled JSON for `GET /stats`, written into the connection's
-/// reusable scratch buffer: the [`ServiceStats`] snapshot, including
-/// the registry tier counters (all zero when no registry is attached)
-/// and the serving hot-path counters (`inline_hits`, `bytes_served`,
-/// `enqueued`). One `write!` into a `Vec<u8>` — which cannot fail — so
-/// a warmed buffer renders with zero allocations and no per-field
-/// `String`s.
-fn render_stats(out: &mut Vec<u8>, stats: &ServiceStats) {
-    use std::io::Write as _;
-    let _ = write!(
-        out,
-        concat!(
-            "{{\n",
-            "  \"submitted\": {},\n",
-            "  \"completed\": {},\n",
-            "  \"rejected\": {},\n",
-            "  \"failed\": {},\n",
-            "  \"batches\": {},\n",
-            "  \"batched_requests\": {},\n",
-            "  \"max_batch\": {},\n",
-            "  \"inline_hits\": {},\n",
-            "  \"bytes_served\": {},\n",
-            "  \"enqueued\": {},\n",
-            "  \"queue_depth\": {},\n",
-            "  \"max_queue_depth\": {},\n",
-            "  \"elapsed_secs\": {},\n",
-            "  \"registry_hits\": {},\n",
-            "  \"registry_writes\": {},\n",
-            "  \"quarantined\": {},\n",
-            "  \"cache\": {{\n",
-            "    \"hits\": {},\n",
-            "    \"misses\": {},\n",
-            "    \"joined\": {},\n",
-            "    \"inserted\": {},\n",
-            "    \"evicted\": {},\n",
-            "    \"entries\": {}\n",
-            "  }}\n",
-            "}}\n",
-        ),
-        stats.submitted,
-        stats.completed,
-        stats.rejected,
-        stats.failed,
-        stats.batches,
-        stats.batched_requests,
-        stats.max_batch,
-        stats.inline_hits,
-        stats.bytes_served,
-        stats.enqueued,
-        stats.queue_depth,
-        stats.max_queue_depth,
-        stats.elapsed_secs,
-        stats.registry_hits,
-        stats.registry_writes,
-        stats.quarantined,
-        stats.cache.hits,
-        stats.cache.misses,
-        stats.cache.joined,
-        stats.cache.inserted,
-        stats.cache.evicted,
-        stats.cache.entries,
-    );
+/// JSON for `GET /stats`, written into the connection's reusable
+/// scratch buffer: the [`ServiceStats`] snapshot, including the registry
+/// tier counters (all zero when no registry is attached) and the serving
+/// hot-path counters (`inline_hits`, `bytes_served`, `enqueued`). The
+/// writer appends straight into the buffer, so a warmed buffer renders
+/// with zero allocations and no per-field `String`s.
+fn render_stats(out: &mut String, stats: &ServiceStats) {
+    json::lines(out, |o| {
+        o.u64("submitted", stats.submitted)
+            .u64("completed", stats.completed)
+            .u64("rejected", stats.rejected)
+            .u64("failed", stats.failed)
+            .u64("batches", stats.batches)
+            .u64("batched_requests", stats.batched_requests)
+            .u64("max_batch", stats.max_batch)
+            .u64("inline_hits", stats.inline_hits)
+            .u64("bytes_served", stats.bytes_served)
+            .u64("enqueued", stats.enqueued)
+            .u64("queue_depth", stats.queue_depth)
+            .u64("max_queue_depth", stats.max_queue_depth)
+            .f64("elapsed_secs", stats.elapsed_secs)
+            .u64("registry_hits", stats.registry_hits)
+            .u64("registry_writes", stats.registry_writes)
+            .u64("quarantined", stats.quarantined)
+            .object("cache", |c| {
+                c.u64("hits", stats.cache.hits)
+                    .u64("misses", stats.cache.misses)
+                    .u64("joined", stats.cache.joined)
+                    .u64("inserted", stats.cache.inserted)
+                    .u64("evicted", stats.cache.evicted)
+                    .u64("entries", stats.cache.entries);
+            });
+    });
+    out.push('\n');
 }
 
 /// Plain-text rendering for `GET /metrics`: the counter snapshot plus
@@ -482,9 +461,8 @@ mod tests {
 
     #[test]
     fn stats_json_includes_the_hot_path_counters() {
-        let mut out = Vec::new();
-        render_stats(&mut out, &sample_stats());
-        let rendered = String::from_utf8(out).unwrap();
+        let mut rendered = String::new();
+        render_stats(&mut rendered, &sample_stats());
         assert!(rendered.contains("\"inline_hits\": 12"));
         assert!(rendered.contains("\"bytes_served\": 3456"));
         assert!(rendered.contains("\"enqueued\": 2"));
@@ -531,5 +509,16 @@ mod tests {
             assert_eq!(route_of("PUT", path), Route::MethodNotAllowed, "{path}");
         }
         assert_eq!(route_of("GET", "/nope"), Route::NotFound);
+    }
+
+    #[test]
+    fn error_body_bytes_are_pinned() {
+        let response = error_response(
+            400,
+            "Bad Request",
+            "a \"quoted\" reason\nwith\tcontrol \u{1}",
+        );
+        let expected = "{\"error\": \"a \\\"quoted\\\" reason\\nwith\\tcontrol \\u0001\"}\n";
+        assert_eq!(std::str::from_utf8(response.body.as_bytes()), Ok(expected));
     }
 }

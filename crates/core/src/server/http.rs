@@ -146,7 +146,7 @@ pub(crate) struct Conn {
     /// Reusable body scratch for handler-rendered responses
     /// ([`Body::Scratch`]): `/stats` writes its JSON here instead of
     /// allocating a fresh `String` per request.
-    scratch: Vec<u8>,
+    scratch: String,
 }
 
 /// Index just past `\r\n\r\n`'s first byte pair — i.e. the offset of the
@@ -184,7 +184,7 @@ impl Conn {
             stream,
             buf: Vec::new(),
             out: Vec::new(),
-            scratch: Vec::new(),
+            scratch: String::new(),
         }
     }
 
@@ -192,7 +192,7 @@ impl Conn {
     /// [`Body::Scratch`] response. The capacity persists across
     /// requests, so a keep-alive connection renders `/stats` with zero
     /// allocations once the buffer has grown to its working size.
-    pub fn scratch_mut(&mut self) -> &mut Vec<u8> {
+    pub fn scratch_mut(&mut self) -> &mut String {
         self.scratch.clear();
         &mut self.scratch
     }
@@ -394,7 +394,7 @@ impl Conn {
     /// the connection, never the server.
     pub fn write_response(&mut self, response: &Response, close: bool) -> std::io::Result<()> {
         let body: &[u8] = match &response.body {
-            Body::Scratch => &self.scratch,
+            Body::Scratch => self.scratch.as_bytes(),
             other => other.as_bytes(),
         };
         self.out.clear();

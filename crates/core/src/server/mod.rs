@@ -76,7 +76,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::artifact::json_quote;
+use crate::artifact::json;
 use crate::error::{DaeDvfsError, ServerError};
 use crate::obs::Receipt;
 use crate::service::{PlanService, PlannerKey};
@@ -442,15 +442,16 @@ impl<'a> PlanServer<'a> {
         }
         let mut trace = lock(&self.trace);
         if let Some(writer) = trace.as_mut() {
-            let line = format!(
-                "{{\"seq\": {}, \"target\": \"/v1/plan\", \"fingerprint\": \"{:016x}\", \
-                 \"path\": \"{}\", \"plan_hash\": \"{:016x}\", \"body\": {}}}\n",
-                writer.seq,
-                receipt.fingerprint(),
-                receipt.path.label(),
-                receipt.plan_hash,
-                json_quote(body),
-            );
+            let mut line = String::with_capacity(160 + body.len());
+            json::compact(&mut line, |o| {
+                o.u64("seq", writer.seq)
+                    .str("target", "/v1/plan")
+                    .hex64("fingerprint", receipt.fingerprint())
+                    .str("path", receipt.path.label())
+                    .hex64("plan_hash", receipt.plan_hash)
+                    .str("body", body);
+            });
+            line.push('\n');
             writer.seq += 1;
             use std::io::Write as _;
             // Advisory: a full disk must not take the serving path down.
@@ -818,5 +819,43 @@ mod tests {
                 .serve(|handle| handle.shutdown())
                 .expect("ephemeral loopback bind succeeds");
         }
+    }
+
+    #[test]
+    fn trace_line_bytes_are_pinned() {
+        let (service, key) = service_with_route();
+        let path =
+            std::env::temp_dir().join(format!("dae-dvfs-trace-pin-{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let server = PlanServer::new(&service, ServerConfig::default())
+            .and_then(|s| s.route("vww", key))
+            .expect("server builds")
+            .trace_to(path.to_str().expect("UTF-8 temp path"))
+            .expect("trace file opens");
+        let receipt = crate::obs::Receipt {
+            key: crate::service::PlanKey {
+                model_fingerprint: 0x1111_2222_3333_4444,
+                config_fingerprint: 0x5555_6666_7777_8888,
+                solver: crate::request::Solver::ReserveGrid,
+                window_bits: 0.25f64.to_bits(),
+                dp_resolution: 2000,
+            },
+            path: crate::obs::ServePath::RegistryHit,
+            solver: "reserve-grid",
+            artifact_schema_version: 1,
+            plan_hash: 0xdead_beef_0123_4567,
+            solve_nanos: 0,
+            total_nanos: 5,
+        };
+        server.record(&receipt, "{\"planner\": \"vww\", \"slack\": 0.3}");
+        server.record(&receipt, "{\"planner\": \"v\\\\w\"}");
+        drop(server);
+        let written = std::fs::read_to_string(&path).expect("trace reads back");
+        let _ = std::fs::remove_file(&path);
+        let expected = concat!(
+            "{\"seq\": 0, \"target\": \"/v1/plan\", \"fingerprint\": \"9e7b673118e0ec15\", \"path\": \"registry-hit\", \"plan_hash\": \"deadbeef01234567\", \"body\": \"{\\\"planner\\\": \\\"vww\\\", \\\"slack\\\": 0.3}\"}\n",
+            "{\"seq\": 1, \"target\": \"/v1/plan\", \"fingerprint\": \"9e7b673118e0ec15\", \"path\": \"registry-hit\", \"plan_hash\": \"deadbeef01234567\", \"body\": \"{\\\"planner\\\": \\\"v\\\\\\\\w\\\"}\"}\n",
+        );
+        assert_eq!(written, expected);
     }
 }

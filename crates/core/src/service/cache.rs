@@ -401,11 +401,13 @@ mod tests {
                 predicted_latency_secs: qos * 0.9,
                 predicted_energy: Joules::new(1.0),
             }),
-            Arc::from(
-                format!("{{\"qos\": {qos}}}")
-                    .into_bytes()
-                    .into_boxed_slice(),
-            ),
+            Arc::from({
+                let mut body = String::new();
+                crate::artifact::json::compact(&mut body, |o| {
+                    o.f64("qos", qos);
+                });
+                body.into_bytes().into_boxed_slice()
+            }),
         )
     }
 

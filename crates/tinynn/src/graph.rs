@@ -18,13 +18,20 @@ pub enum LayerKind {
     Rest,
 }
 
+impl LayerKind {
+    /// The kind's lower-case name (its `Display` form).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            LayerKind::Depthwise => "depthwise",
+            LayerKind::Pointwise => "pointwise",
+            LayerKind::Rest => "rest",
+        }
+    }
+}
+
 impl fmt::Display for LayerKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LayerKind::Depthwise => write!(f, "depthwise"),
-            LayerKind::Pointwise => write!(f, "pointwise"),
-            LayerKind::Rest => write!(f, "rest"),
-        }
+        f.write_str(self.as_str())
     }
 }
 

@@ -14,6 +14,7 @@
 //!
 //! Run with: `cargo run --release --example cross_target`
 
+use dae_dvfs::artifact::json;
 use dae_dvfs::{
     DaeDvfsError, DeploymentPlan, GenericCortexMTarget, OperatingModes, PlanArtifact, PlanRequest,
     Planner, Stm32F767Target,
@@ -88,14 +89,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         std::fs::write(&path, artifact.to_json())?;
         println!("{:>12}  exported -> {path}", "");
 
-        summary_rows.push(
-            repro_bench::json::Object::new()
-                .str_field("target", &target_id)
-                .f64_field("baseline_ms", baseline * 1e3, 3)
-                .f64_field("inference_ms", report.inference_secs * 1e3, 3)
-                .f64_field("window_energy_mj", report.total_energy.as_mj(), 4)
-                .render(),
-        );
+        summary_rows.push((
+            target_id,
+            baseline * 1e3,
+            report.inference_secs * 1e3,
+            report.total_energy.as_mj(),
+        ));
         artifacts.push((path, artifact));
     }
 
@@ -135,14 +134,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         other => panic!("expected an artifact mismatch, got {other:?}"),
     }
 
-    // Machine-readable summary via the shared JSON emitter.
-    let summary = repro_bench::json::Object::new()
-        .str_field("example", "cross_target")
-        .str_field("model", &model.name)
-        .f64_field("slack", 0.30, 2)
-        .array_field("targets", &summary_rows)
-        .render_pretty();
-    std::fs::write("CROSS_TARGET.json", summary + "\n")?;
+    // Machine-readable summary via the workspace JSON writer.
+    let mut summary = String::new();
+    json::lines(&mut summary, |o| {
+        o.str("example", "cross_target")
+            .str("model", &model.name)
+            .fixed("slack", 0.30, 2)
+            .array("targets", &summary_rows, |out, row| {
+                let (target, baseline_ms, inference_ms, mj) = row;
+                json::compact(out, |o| {
+                    o.str("target", target)
+                        .fixed("baseline_ms", *baseline_ms, 3)
+                        .fixed("inference_ms", *inference_ms, 3)
+                        .fixed("window_energy_mj", *mj, 4);
+                })
+            });
+    });
+    summary.push('\n');
+    std::fs::write("CROSS_TARGET.json", summary)?;
     println!("summary written -> CROSS_TARGET.json");
     Ok(())
 }

@@ -293,6 +293,28 @@ fn infeasible_budgets_are_422_and_bad_json_is_400() {
 }
 
 #[test]
+fn hostile_bodies_get_400_and_the_server_keeps_serving() {
+    with_server(ServerConfig::default(), |handle| {
+        // ~10 KB of nesting, well under the body cap: without a depth
+        // bound the recursive parser overflows the worker's stack.
+        let nested = format!("{{\"planner\": {}", "[".repeat(10_000));
+        let response = httpc::post(handle.addr(), "/v1/plan", &nested).expect("answers");
+        assert_eq!(response.status, 400, "{}", response.body_str());
+        assert!(response.body_str().contains("nesting"));
+
+        // One JSON field must not be able to size the DP tables.
+        let huge = "{\"planner\": \"vww\", \"slack\": 0.3, \"dp_resolution\": 4294967296}";
+        let response = httpc::post(handle.addr(), "/v1/plan", huge).expect("answers");
+        assert_eq!(response.status, 400, "{}", response.body_str());
+        assert!(response.body_str().contains("dp_resolution"));
+
+        let normal = "{\"planner\": \"vww\", \"slack\": 0.3}";
+        let response = httpc::post(handle.addr(), "/v1/plan", normal).expect("answers");
+        assert_eq!(response.status, 200, "{}", response.body_str());
+    });
+}
+
+#[test]
 fn a_server_outside_service_run_answers_503_not_serving() {
     let target = Stm32F767Target::paper();
     let model = vww_sized(32);
