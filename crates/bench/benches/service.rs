@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dae_dvfs::{CoalesceMode, PlanRequest, PlanService, Planner, ServiceConfig};
+use dae_dvfs::{PlanRequest, PlanService, Planner, ServiceConfig};
 use std::hint::black_box;
 use tinyengine::qos_window;
 
@@ -64,7 +64,6 @@ fn bench_plan_service(c: &mut Criterion) {
         let mut service = PlanService::new(
             ServiceConfig::default()
                 .with_workers(2)
-                .with_mode(CoalesceMode::Swept)
                 .with_batch_linger(Duration::from_micros(500))
                 .with_cache_capacity(8)
                 .with_cache_shards(1),

@@ -1,22 +1,16 @@
-//! KERNEL-SMOKE — CI gate for the quantized DP kernels and incremental
+//! KERNEL-SMOKE — CI gate for the quantized MCKP kernel and incremental
 //! re-solve.
 //!
-//! Deterministic and fast: builds synthetic MCKP and sequence instances,
-//! fills them cold, drifts a single class/layer, and asserts that the
-//! incremental re-solve (a) refills only the suffix behind the drift —
-//! strictly less than a full fill — and (b) answers every budget
-//! bit-identically to a cold scratch fill. Exits non-zero on any
-//! violation, so CI catches a kernel regression without waiting for the
-//! full bench run.
+//! Deterministic and fast: builds a synthetic MCKP instance, fills it
+//! cold, drifts a single class, and asserts that the incremental
+//! re-solve (a) refills only the suffix behind the drift — strictly less
+//! than a full fill — and (b) answers every budget bit-identically to a
+//! cold scratch fill. Exits non-zero on any violation, so CI catches a
+//! kernel regression without waiting for the full bench run.
 //!
 //! Run with: `cargo run --release -p repro-bench --bin kernel_smoke`
 
-use dae_dvfs::{
-    mckp_resweep, mckp_sweep, sequence_resweep, sequence_sweep, DseConfig, DsePoint, Granularity,
-    MckpItem, OperatingModes, SolverWorkspace,
-};
-use stm32_power::Joules;
-use stm32_rcc::Hertz;
+use dae_dvfs::{mckp_resweep, mckp_sweep, MckpItem, SolverWorkspace};
 
 fn fail(msg: String) -> ! {
     eprintln!("kernel_smoke: FAIL: {msg}");
@@ -94,86 +88,7 @@ fn check_mckp() {
     );
 }
 
-fn check_sequence() {
-    let config = DseConfig::paper();
-    let modes = OperatingModes::fig4();
-    let mhz = [100u64, 168, 216];
-    let nlayers = 12;
-    let drift_layer = 6;
-
-    let fronts: Vec<Vec<DsePoint>> = (0..nlayers)
-        .map(|k| {
-            (0..3usize)
-                .map(|i| DsePoint {
-                    granularity: Granularity(8),
-                    hfo: *modes.hfo_at(Hertz::mhz(mhz[i])).expect("ladder frequency"),
-                    latency_secs: 1e-3 * (3 - i) as f64 * (1.0 + k as f64 * 0.05),
-                    energy: Joules::new(1e-4 * (i + 1) as f64 * (1.0 + k as f64 * 0.03)),
-                    switches: 0,
-                    first_stage_secs: 1e-4,
-                })
-                .collect()
-        })
-        .collect();
-    let min_time: f64 = fronts
-        .iter()
-        .map(|f| {
-            f.iter()
-                .map(|p| p.latency_secs)
-                .fold(f64::INFINITY, f64::min)
-        })
-        .sum();
-    let budgets: Vec<f64> = (0..8)
-        .map(|i| min_time * (1.5 + 0.15 * i as f64) + nlayers as f64 * 250e-6)
-        .collect();
-    let resolution = 2000;
-
-    let mut ws = SolverWorkspace::new();
-    sequence_sweep(&fronts, &budgets, resolution, &config, 0.0, &mut ws).expect("base fill solves");
-
-    let mut drifted = fronts.clone();
-    let e = drifted[drift_layer][0].energy.as_f64();
-    drifted[drift_layer][0].energy = Joules::new(e + 0.53e-6);
-
-    let mut scratch = SolverWorkspace::new();
-    let warm = sequence_resweep(&drifted, &budgets, resolution, &config, 0.0, &mut ws)
-        .expect("resweep solves");
-    let cold = sequence_sweep(&drifted, &budgets, resolution, &config, 0.0, &mut scratch)
-        .expect("cold fill solves");
-
-    let bound = nlayers - drift_layer;
-    if warm.refilled_layers() > bound {
-        fail(format!(
-            "seq: single-layer drift at {} refilled {} of {} layers (bound {})",
-            drift_layer,
-            warm.refilled_layers(),
-            nlayers,
-            bound
-        ));
-    }
-    for &budget in &budgets {
-        let inc = warm.best_for(budget).expect("feasible by construction");
-        let full = cold.best_for(budget).expect("feasible by construction");
-        if inc.choices != full.choices
-            || inc.total_time_secs.to_bits() != full.total_time_secs.to_bits()
-            || inc.total_energy.to_bits() != full.total_energy.to_bits()
-            || inc.frequency_changes != full.frequency_changes
-        {
-            fail(format!(
-                "seq: resweep diverged from full refill at budget {budget}: {inc:?} vs {full:?}"
-            ));
-        }
-    }
-    println!(
-        "kernel_smoke: sequence ok ({} budgets bit-identical, refilled {}/{} layers)",
-        budgets.len(),
-        warm.refilled_layers(),
-        nlayers
-    );
-}
-
 fn main() {
     check_mckp();
-    check_sequence();
     println!("kernel_smoke: PASS");
 }

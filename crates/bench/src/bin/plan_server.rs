@@ -16,8 +16,8 @@
 //! Prints the service stats (throughput, hit rate, batch shape) and the
 //! end-to-end speedup, and verifies the serving invariants: cache
 //! counters account for every request, and sampled answers are
-//! bit-identical to their serial reference (`Planner::plan` in exact
-//! mode, singleton `Planner::sweep` in the default swept mode).
+//! bit-identical to their serial reference (a singleton `Planner::sweep`
+//! for reserve-grid requests, `Planner::plan` for sequence-DP ones).
 //!
 //! With `--serve` (alias `--http-trace`) the same deterministic trace is
 //! instead replayed **over real loopback sockets** against the
@@ -47,8 +47,7 @@
 //! CI smoke: `… --bin plan_server -- --smoke` and
 //! `… --bin plan_server -- --serve --smoke` (small traces; exit
 //! non-zero if any invariant fails).
-//! Flags: `--requests N`, `--workers N`, `--exact` (per-request solves
-//! instead of shared-grid coalescing), `--serve` (HTTP replay),
+//! Flags: `--requests N`, `--workers N`, `--serve` (HTTP replay),
 //! `--replay <trace.jsonl>` (offline replay of a recorded trace).
 
 use std::sync::Arc;
@@ -56,9 +55,8 @@ use std::time::{Duration, Instant};
 
 use dae_dvfs::artifact::json;
 use dae_dvfs::{
-    CoalesceMode, GenericCortexMTarget, OperatingModes, PlanRegistry, PlanRequest, PlanServer,
-    PlanService, Planner, PlannerKey, QosBudget, ServerConfig, ServiceConfig, Solver,
-    Stm32F767Target, Target,
+    GenericCortexMTarget, OperatingModes, PlanRegistry, PlanRequest, PlanServer, PlanService,
+    Planner, PlannerKey, QosBudget, ServerConfig, ServiceConfig, Solver, Stm32F767Target, Target,
 };
 use repro_bench::{httpc, serving};
 use stm32_rcc::Hertz;
@@ -493,7 +491,6 @@ fn serve_mode(smoke: bool, requests: usize, workers: usize) {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let exact = args.iter().any(|a| a == "--exact");
     let serve = args.iter().any(|a| a == "--serve" || a == "--http-trace");
     let flag = |name: &str, default: usize| -> usize {
         args.iter()
@@ -527,15 +524,9 @@ fn main() {
         t0.elapsed().as_secs_f64()
     );
 
-    let mode = if exact {
-        CoalesceMode::Exact
-    } else {
-        CoalesceMode::Swept
-    };
     let mut service = PlanService::new(
         ServiceConfig::default()
             .with_workers(workers)
-            .with_mode(mode)
             .with_batch_linger(Duration::from_millis(2))
             // Windows are a few milliseconds; a 1 µs quantum folds the
             // trace's sub-µs jitter onto shared entries without moving
@@ -559,10 +550,9 @@ fn main() {
     let mut rng = SplitMix64::new(0xDAE_D5F5);
     let trace = generate_trace(&baselines, requests, &mut rng);
     println!(
-        "trace: {} requests over {} tenants ({:?} coalescing, {} workers, {} submitters)",
+        "trace: {} requests over {} tenants ({} workers, {} submitters)",
         trace.len(),
         tenants.len(),
-        mode,
         workers,
         submitters
     );
@@ -640,7 +630,7 @@ fn main() {
             "request {i} overran its window"
         );
     }
-    // Sampled bit-identical pins against the mode's serial reference.
+    // Sampled bit-identical pins against each solver's serial reference.
     for i in (0..trace.len()).step_by((trace.len() / 25).max(1)) {
         let r = &trace[i];
         let planner = &planners[r.tenant].1;
@@ -654,8 +644,8 @@ fn main() {
                         .unwrap_or(planner.config().dp_resolution),
                 )
         };
-        let reference = match (mode, r.request.solver()) {
-            (CoalesceMode::Swept, Solver::ReserveGrid) => planner
+        let reference = match r.request.solver() {
+            Solver::ReserveGrid => planner
                 .sweep([answers[i].qos_secs])
                 .expect("singleton sweep solves")
                 .remove(0),

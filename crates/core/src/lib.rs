@@ -35,10 +35,10 @@
 //! histograms on [`ServiceStats`], and replayable offline via
 //! `plan_server --replay` (DESIGN.md, "Observability: receipts, metrics
 //! & trace replay"). The DP fills themselves run through branch-free quantized
-//! kernels with checkpointed rows, so a planner whose inputs drifted in
-//! one class can re-solve incrementally via [`Planner::resweep`] /
-//! [`mckp_resweep`] / [`sequence_resweep`] — bit-identical to a cold
-//! fill (DESIGN.md, "Quantized DP kernels & incremental re-solve").
+//! kernels; the MCKP table keeps checkpointed rows, so a batch whose
+//! inputs drifted in one class re-solves incrementally via
+//! [`mckp_resweep`] — bit-identical to a cold fill (DESIGN.md,
+//! "Quantized DP kernels & incremental re-solve").
 //!
 //! The serving stack's invariants are machine-checked: all locking goes
 //! through the ranked mutexes in this crate's `sync` module (debug
@@ -107,12 +107,10 @@ pub use schedule::{evaluate_schedule, explore_compiled, explore_model, CompiledL
 pub use seqdp::{solve_sequence, SequenceSolution};
 pub use server::{PlanServer, ServerConfig, ServerHandle};
 pub use service::{
-    CacheStats, CoalesceMode, PlanService, PlanTicket, PlannerKey, ServedPlan, ServiceConfig,
-    ServiceStats,
+    CacheStats, PlanService, PlanTicket, PlannerKey, ServedPlan, ServiceConfig, ServiceStats,
 };
 pub use solver::{
-    mckp_resweep, mckp_sweep, sequence_resweep, sequence_sweep, solve_dp_sweep,
-    solve_sequence_sweep, MckpSweep, SequenceSweep, SolverWorkspace, WorkspacePool,
+    mckp_resweep, mckp_sweep, solve_dp_sweep, MckpSweep, SolverWorkspace, WorkspacePool,
     MAX_SWEEP_BUCKETS,
 };
 pub use target::{GenericCortexMTarget, Stm32F767Target, Target};

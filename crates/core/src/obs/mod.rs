@@ -74,7 +74,8 @@ pub enum ServePath {
     },
     /// Answered from the on-disk registry (cold tier), no solve.
     RegistryHit,
-    /// Led a singleton solve (batch of one).
+    /// Led its own solve: a batch of one, or a sequence-DP batch, whose
+    /// requests are solved one at a time.
     Solved,
 }
 

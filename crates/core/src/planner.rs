@@ -566,37 +566,6 @@ impl Planner {
         &self,
         qos_windows: impl IntoIterator<Item = f64>,
     ) -> Result<Vec<DeploymentPlan>, DaeDvfsError> {
-        self.sweep_windows(qos_windows, false)
-    }
-
-    /// [`Planner::sweep`] with **incremental re-solve**: the shared-grid
-    /// fill runs through [`crate::solver::mckp_resweep`], so when the
-    /// pooled workspace still holds this planner's checkpointed table
-    /// from an earlier sweep at the same resolution — the hot-group
-    /// serving pattern, where the same model is re-swept batch after
-    /// batch — the DP fill is skipped entirely and only the per-window
-    /// extractions run. Results are **bit-identical** to
-    /// [`Planner::sweep`] (pinned by `tests/planner_equivalence.rs`):
-    /// checkpoints are reused only when the grid and every item lane byte
-    /// match, and the shared grid's scale is a function of the planner
-    /// and resolution alone, so the retained table is exactly the table
-    /// a fresh fill would produce.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Planner::sweep`].
-    pub fn resweep(
-        &self,
-        qos_windows: impl IntoIterator<Item = f64>,
-    ) -> Result<Vec<DeploymentPlan>, DaeDvfsError> {
-        self.sweep_windows(qos_windows, true)
-    }
-
-    fn sweep_windows(
-        &self,
-        qos_windows: impl IntoIterator<Item = f64>,
-        reuse: bool,
-    ) -> Result<Vec<DeploymentPlan>, DaeDvfsError> {
         let windows: Vec<f64> = qos_windows.into_iter().collect();
         for &q in &windows {
             validate_positive_time("qos_secs", q)?;
@@ -619,7 +588,7 @@ impl Planner {
                     })
             })
             .collect();
-        let solved = self.sweep_distinct(&distinct, self.config.dp_resolution, usize::MAX, reuse);
+        let solved = self.sweep_distinct(&distinct, self.config.dp_resolution, usize::MAX, false);
         // Fan results back out in window order; the earliest failing
         // window's error surfaces, as before.
         mapping.into_iter().map(|p| solved[p].clone()).collect()
@@ -649,9 +618,12 @@ impl Planner {
     ///
     /// `reuse` routes the shared-grid fill through
     /// [`crate::solver::mckp_resweep`], reusing the pooled workspace's
-    /// checkpointed table when it matches (bit-identical either way; see
-    /// [`Planner::resweep`]). The service coalescer passes `true` so hot
-    /// groups skip the fill across batch windows.
+    /// checkpointed table when it matches. Results are bit-identical
+    /// either way: checkpoints are reused only when the grid and every
+    /// item lane byte match, and the shared grid's scale is a function of
+    /// the planner and resolution alone. The service coalescer passes
+    /// `true` so hot groups skip the fill across batch windows;
+    /// [`Planner::sweep`] passes `false` and always fills cold.
     pub(crate) fn sweep_distinct(
         &self,
         windows: &[f64],
@@ -903,6 +875,33 @@ mod tests {
         // exactly what the batched sweep answered for it.
         for (i, &w) in [a, b, c].iter().enumerate() {
             assert_eq!(planner.sweep([w]).unwrap()[0], unique[i]);
+        }
+    }
+
+    #[test]
+    fn resweep_matches_sweep_bit_for_bit() {
+        // The incremental fill must be indistinguishable from a cold
+        // sweep: after `sweep` primes the pooled workspace's checkpoints,
+        // `sweep_distinct(.., reuse = true)` answers the same windows from
+        // the retained table (or a transparent full refill) with
+        // bit-identical plans — twice, so the second call also exercises
+        // checkpoints written by the reusing fill itself.
+        let model = tinynn::models::vww_sized(32);
+        let planner = Planner::for_target(Stm32F767Target::paper(), &model).unwrap();
+        let baseline = planner.baseline_latency().unwrap();
+        let windows: Vec<f64> = [0.1, 0.25, 0.3, 0.5]
+            .iter()
+            .map(|&s| qos_window(baseline, s))
+            .collect();
+        let cold = planner.sweep(windows.clone()).unwrap();
+        let resolution = planner.config().dp_resolution;
+        for round in 0..2 {
+            let warm: Vec<_> = planner
+                .sweep_distinct(&windows, resolution, usize::MAX, true)
+                .into_iter()
+                .map(|plan| plan.unwrap())
+                .collect();
+            assert_eq!(warm, cold, "resweep round {round} diverged from sweep");
         }
     }
 

@@ -94,8 +94,7 @@ pub struct SequenceSolution {
 /// Thin single-budget wrapper over the shared solver core
 /// ([`crate::solver`]): the DP runs on the historical budget-relative
 /// grid (`scale = budget / resolution`), so results are bit-identical to
-/// the pre-sweep implementation. To answer many budgets on one model, use
-/// [`crate::solver::solve_sequence_sweep`].
+/// the pre-sweep implementation. Each budget is a separate solve.
 ///
 /// # Errors
 ///

@@ -12,8 +12,7 @@
 //!
 //! Batches are formed per [`GroupKey`] — everything that must agree for
 //! two requests to be answered from one shared-grid DP table — and
-//! solved by [`solve_batch`] according to the service's
-//! [`CoalesceMode`].
+//! solved by [`solve_batch`] according to the group's solver.
 
 use tinyengine::qos_window;
 
@@ -40,30 +39,6 @@ pub(crate) struct CanonicalRequest {
     pub group: GroupKey,
     pub key: PlanKey,
     pub window_secs: f64,
-}
-
-/// How the coalescer answers a batch of distinct in-flight requests of
-/// one group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum CoalesceMode {
-    /// Answer every group with **one shared-grid DP pass**
-    /// ([`crate::Planner::sweep`] semantics) instead of per-request
-    /// solves; the default. Answers are deterministic and
-    /// *batch-invariant* — bit-identical to a singleton
-    /// `Planner::sweep([window])` of the same request, no matter which
-    /// other requests were coalesced alongside — and agree with
-    /// [`crate::Planner::plan`] within the solver's documented
-    /// discretization bound. [`Solver::SequenceDp`] groups fall back to
-    /// per-request solves (their shared-grid sweep is future work).
-    #[default]
-    Swept,
-    /// Answer each distinct canonical request with the planner's
-    /// per-request path ([`crate::Planner::plan`]): bit-identical to a
-    /// serial call, at the cost of one full DP per distinct request.
-    /// Identical concurrent requests are still deduplicated by the cache
-    /// single-flight, so hot-key traffic coalesces either way.
-    Exact,
 }
 
 /// Resolves `request` into its canonical cache/coalescing identity.
@@ -142,28 +117,35 @@ pub(crate) fn quantize(window_secs: f64, quantum_secs: f64) -> f64 {
     }
 }
 
-/// Answers one group's batch of **distinct** windows according to
-/// `mode`. Results are positionally aligned with `windows`.
-/// `sweep_threads` caps the swept path's extraction striping — the
+/// Answers one group's batch of **distinct** windows. Results are
+/// positionally aligned with `windows`.
+///
+/// [`Solver::ReserveGrid`] batches are answered by **one shared-grid DP
+/// pass** ([`crate::Planner::sweep`] semantics). The answers are
+/// deterministic and *batch-invariant* — bit-identical to a singleton
+/// `Planner::sweep([window])` of the same request, no matter which other
+/// requests were coalesced alongside — and agree with
+/// [`crate::Planner::plan`] within the solver's documented discretization
+/// bound. `sweep_threads` caps that path's extraction striping — the
 /// calling worker's share of the machine, so concurrent batches do not
-/// oversubscribe it.
+/// oversubscribe it. [`Solver::SequenceDp`] batches are answered one
+/// request at a time by [`crate::Planner::plan`].
 pub(crate) fn solve_batch(
     planner: &Planner,
-    mode: CoalesceMode,
     solver: Solver,
     dp_resolution: usize,
     windows: &[f64],
     sweep_threads: usize,
 ) -> Vec<Result<DeploymentPlan, DaeDvfsError>> {
-    match (mode, solver) {
-        (CoalesceMode::Swept, Solver::ReserveGrid) => {
+    match solver {
+        Solver::ReserveGrid => {
             // reuse=true: hot groups hit the same planner (and so the same
             // workspace pool) batch after batch, and the checkpointed DP
             // table lets an unchanged group skip the shared-grid fill
             // entirely. Bit-identical to a cold fill by construction.
             planner.sweep_distinct(windows, dp_resolution, sweep_threads, true)
         }
-        _ => windows
+        Solver::SequenceDp => windows
             .iter()
             .map(|&window| {
                 let request = PlanRequest::qos(window)

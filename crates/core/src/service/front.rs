@@ -23,7 +23,7 @@ use crate::obs::{self, PathStamp, Receipt, ServePath};
 use crate::pipeline::DeploymentPlan;
 use crate::planner::Planner;
 use crate::registry::PlanRegistry;
-use crate::request::PlanRequest;
+use crate::request::{PlanRequest, Solver};
 use crate::service::cache::{CacheStats, Lookup, PlanCache, PlanKey, ServedPlan};
 use crate::service::coalesce::{canonicalize, solve_batch, GroupKey};
 use crate::service::ServiceConfig;
@@ -896,7 +896,6 @@ impl PlanService {
         let results = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             solve_batch(
                 planner,
-                self.config.mode,
                 group.solver,
                 group.dp_resolution,
                 &windows,
@@ -904,11 +903,12 @@ impl PlanService {
             )
         }));
         let solve_nanos = obs::monotonic_nanos().saturating_sub(solve_start);
-        // Leaders of a shared solve are stamped with the batch they rode
-        // in (each paid the whole shared solve, so each carries its full
-        // duration); a singleton batch is a plain solve.
+        // Leaders of a shared-grid solve are stamped with the batch they
+        // rode in (each paid the whole shared solve, so each carries its
+        // full duration); a singleton batch, and a sequence-DP batch that
+        // was solved one request at a time, is a plain solve.
         let leader_stamp = PathStamp {
-            path: if batch.len() > 1 {
+            path: if group.solver == Solver::ReserveGrid && batch.len() > 1 {
                 ServePath::Coalesced {
                     batch: batch.len() as u32,
                 }
@@ -974,17 +974,14 @@ impl PlanService {
 mod tests {
     use super::*;
     use crate::dse::DseConfig;
-    use crate::service::CoalesceMode;
     use tinynn::models::vww_sized;
 
     fn small_planner() -> Arc<Planner> {
         Arc::new(Planner::new(&vww_sized(32), &DseConfig::paper()).expect("planner builds"))
     }
 
-    fn exact_config() -> ServiceConfig {
-        ServiceConfig::default()
-            .with_workers(2)
-            .with_mode(CoalesceMode::Exact)
+    fn two_workers() -> ServiceConfig {
+        ServiceConfig::default().with_workers(2)
     }
 
     #[test]
@@ -1022,12 +1019,8 @@ mod tests {
 
     #[test]
     fn queue_full_is_typed_backpressure_and_rolls_the_flight_back() {
-        let mut service = PlanService::new(
-            ServiceConfig::default()
-                .with_queue_capacity(1)
-                .with_mode(CoalesceMode::Exact),
-        )
-        .unwrap();
+        let mut service =
+            PlanService::new(ServiceConfig::default().with_queue_capacity(1)).unwrap();
         let key = service.register(small_planner());
         // Mark the service as serving without spawning workers, so queued
         // leaders stay queued and the capacity bound is observable.
@@ -1059,7 +1052,7 @@ mod tests {
 
     #[test]
     fn duplicate_requests_compute_once_and_share_the_plan() {
-        let mut service = PlanService::new(exact_config()).unwrap();
+        let mut service = PlanService::new(two_workers()).unwrap();
         let key = service.register(small_planner());
         let request = PlanRequest::slack(0.3);
         let plans = service.run(|svc| {
@@ -1087,7 +1080,7 @@ mod tests {
 
     #[test]
     fn slack_and_equivalent_window_share_one_cache_entry() {
-        let mut service = PlanService::new(exact_config()).unwrap();
+        let mut service = PlanService::new(two_workers()).unwrap();
         let planner = small_planner();
         let baseline = planner.baseline_latency().unwrap();
         let key = service.register(planner);
@@ -1104,7 +1097,7 @@ mod tests {
 
     #[test]
     fn equal_fingerprint_planners_share_the_cache() {
-        let mut service = PlanService::new(exact_config()).unwrap();
+        let mut service = PlanService::new(two_workers()).unwrap();
         let key_a = service.register(small_planner());
         let key_b = service.register(small_planner());
         service.run(|svc| {
@@ -1120,7 +1113,7 @@ mod tests {
     #[test]
     fn quantized_windows_coalesce_onto_one_entry_and_stay_feasible() {
         let quantum = 1e-4;
-        let mut service = PlanService::new(exact_config().with_qos_quantum_secs(quantum)).unwrap();
+        let mut service = PlanService::new(two_workers().with_qos_quantum_secs(quantum)).unwrap();
         let planner = small_planner();
         let baseline = planner.baseline_latency().unwrap();
         let key = service.register(planner);
@@ -1146,7 +1139,7 @@ mod tests {
 
     #[test]
     fn infeasible_requests_fail_typed_and_are_not_cached() {
-        let mut service = PlanService::new(exact_config()).unwrap();
+        let mut service = PlanService::new(two_workers()).unwrap();
         let key = service.register(small_planner());
         service.run(|svc| {
             for _ in 0..2 {
@@ -1167,7 +1160,6 @@ mod tests {
         let mut service = PlanService::new(
             ServiceConfig::default()
                 .with_workers(1)
-                .with_mode(CoalesceMode::Swept)
                 .with_batch_linger(Duration::from_millis(20)),
         )
         .unwrap();
@@ -1200,8 +1192,36 @@ mod tests {
     }
 
     #[test]
+    fn sequence_dp_batches_are_stamped_as_plain_solves() {
+        // One worker lingering long enough to catch both leaders in one
+        // batch: the batch is answered one request at a time, so neither
+        // leader may claim a shared-grid solve.
+        let mut service = PlanService::new(
+            ServiceConfig::default()
+                .with_workers(1)
+                .with_batch_linger(Duration::from_millis(50)),
+        )
+        .unwrap();
+        let key = service.register(small_planner());
+        let paths = service.run(|svc| {
+            let tickets = [0.3, 0.5].map(|slack| {
+                let request = PlanRequest::slack(slack).with_solver(Solver::SequenceDp);
+                svc.submit(key, &request).expect("admitted")
+            });
+            tickets.map(|ticket| {
+                let (result, stamp) = ticket.wait_stamped();
+                result.expect("planned");
+                stamp.path
+            })
+        });
+        let stats = service.stats();
+        assert_eq!(stats.batches, 1, "both leaders rode one batch: {stats:?}");
+        assert_eq!(paths, [ServePath::Solved, ServePath::Solved]);
+    }
+
+    #[test]
     fn run_drains_every_admitted_ticket() {
-        let mut service = PlanService::new(exact_config()).unwrap();
+        let mut service = PlanService::new(two_workers()).unwrap();
         let key = service.register(small_planner());
         let tickets = service.run(|svc| {
             (0..4)
@@ -1228,7 +1248,7 @@ mod tests {
 
     #[test]
     fn panicking_serving_closure_drains_and_leaves_the_service_reusable() {
-        let mut service = PlanService::new(exact_config()).unwrap();
+        let mut service = PlanService::new(two_workers()).unwrap();
         let key = service.register(small_planner());
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             service.run(|svc| {
@@ -1253,7 +1273,7 @@ mod tests {
 
     #[test]
     fn hit_fast_path_counts_like_the_locked_path() {
-        let mut service = PlanService::new(exact_config()).unwrap();
+        let mut service = PlanService::new(two_workers()).unwrap();
         let key = service.register(small_planner());
         let served = service.run(|svc| {
             svc.plan(key, &PlanRequest::slack(0.3)).unwrap();
@@ -1278,7 +1298,7 @@ mod tests {
 
     #[test]
     fn locked_path_hit_serves_the_same_bytes_without_an_inline_count() {
-        let mut service = PlanService::new(exact_config()).unwrap();
+        let mut service = PlanService::new(two_workers()).unwrap();
         let planner = small_planner();
         let key = service.register(planner.clone());
         // Warm the cache with one solve.
@@ -1340,7 +1360,7 @@ mod tests {
 
     #[test]
     fn receipts_stamp_the_serving_path_and_pin_the_served_bytes() {
-        let mut service = PlanService::new(exact_config()).unwrap();
+        let mut service = PlanService::new(two_workers()).unwrap();
         let key = service.register(small_planner());
         let (cold, warm) = service.run(|svc| {
             let cold = svc.plan_receipted(key, &PlanRequest::slack(0.3)).unwrap();

@@ -18,15 +18,14 @@
 //!    **single-flight**: concurrent identical requests elect one leader;
 //!    everyone else joins its in-flight entry and shares the one solve.
 //! 2. **Request coalescer** (`coalesce`): queued leaders are grouped by
-//!    `(model, config, solver, resolution)` and each group is answered
-//!    with **one** shared-grid DP ([`crate::Planner::sweep`]'s engine)
-//!    instead of per-request `plan()` calls, inside a bounded batching
+//!    `(model, config, solver, resolution)` and each reserve-grid group
+//!    is answered with **one** shared-grid DP ([`crate::Planner::sweep`]'s
+//!    engine) instead of per-request `plan()` calls, inside a bounded batching
 //!    window (`max_batch` requests, optional `batch_linger` wait).
 //!    Coalesced answers are *batch-invariant*: bit-identical to a
 //!    singleton sweep of the same window, no matter what else was in the
-//!    batch. [`CoalesceMode::Exact`] instead answers each distinct
-//!    request via [`crate::Planner::plan`], bit-identical to a serial
-//!    call.
+//!    batch. Sequence-DP groups are answered one request at a time via
+//!    [`crate::Planner::plan`], bit-identical to a serial call.
 //! 3. **Front end** (`front`): a worker pool on `std::thread::scope`
 //!    ([`PlanService::run`]), a bounded submission queue with typed
 //!    backpressure ([`crate::ServiceError::QueueFull`]), graceful drain
@@ -70,7 +69,6 @@ mod coalesce;
 mod front;
 
 pub use cache::{CacheStats, PlanKey, ServedPlan};
-pub use coalesce::CoalesceMode;
 pub use front::{PlanService, PlanTicket, PlannerKey, ServiceStats};
 
 /// Tuning knobs of a [`PlanService`]; start from `Default` and adjust
@@ -100,8 +98,6 @@ pub struct ServiceConfig {
     /// stay feasible for every caller. Zero (the default) keys exact
     /// windows.
     pub qos_quantum_secs: f64,
-    /// How batches are solved (see [`CoalesceMode`]).
-    pub mode: CoalesceMode,
 }
 
 impl Default for ServiceConfig {
@@ -114,7 +110,6 @@ impl Default for ServiceConfig {
             max_batch: 64,
             batch_linger: Duration::ZERO,
             qos_quantum_secs: 0.0,
-            mode: CoalesceMode::default(),
         }
     }
 }
@@ -161,12 +156,6 @@ impl ServiceConfig {
     /// quantization).
     pub fn with_qos_quantum_secs(mut self, quantum_secs: f64) -> Self {
         self.qos_quantum_secs = quantum_secs;
-        self
-    }
-
-    /// Replaces the coalescing mode (builder style).
-    pub fn with_mode(mut self, mode: CoalesceMode) -> Self {
-        self.mode = mode;
         self
     }
 

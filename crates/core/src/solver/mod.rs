@@ -11,16 +11,14 @@
 //!
 //! This module exploits that:
 //!
-//! * [`mckp_sweep`] / [`sequence_sweep`] run **one** table fill over a
-//!   shared absolute grid sized to the largest requested budget, with the
-//!   scale chosen so the *smallest* budget still resolves to at least the
-//!   requested bucket count (`Grid::shared`). The returned
-//!   [`MckpSweep`] / [`SequenceSweep`] handles answer any budget within
-//!   the grid by a cheap scan-and-backtrack ([`MckpSweep::best_for`]),
-//!   which is what turns an N-point QoS sweep into ~1 DP pass plus N
-//!   extractions.
-//! * [`solve_dp_sweep`] / [`solve_sequence_sweep`] are the batch
-//!   conveniences over those handles.
+//! * [`mckp_sweep`] runs **one** MCKP table fill over a shared absolute
+//!   grid sized to the largest requested budget, with the scale chosen so
+//!   the *smallest* budget still resolves to at least the requested
+//!   bucket count (`Grid::shared`). The returned [`MckpSweep`] handle
+//!   answers any budget within the grid by a cheap scan-and-backtrack
+//!   ([`MckpSweep::best_for`]), which is what turns an N-point QoS sweep
+//!   into ~1 DP pass plus N extractions.
+//! * [`solve_dp_sweep`] is the batch convenience over that handle.
 //! * All storage lives in a reusable [`SolverWorkspace`] of row-major
 //!   flat buffers — no per-call, per-layer `vec![vec![…]]` allocations —
 //!   and per-item bucket weights / energies / frequency ids are quantized
@@ -29,18 +27,19 @@
 //! * The table fills run on the branch-free kernels of `solver/kernel.rs`
 //!   (select-form chunked min-reductions the autovectorizer lifts to
 //!   SIMD; `+∞` is the absorbing infeasibility sentinel, picks are
-//!   reconstructed at backtrack time instead of stored) and the DP table
+//!   reconstructed at backtrack time instead of stored) and the MCKP table
 //!   is retained as per-class **checkpoint rows**, which is what
-//!   [`mckp_resweep`] / [`sequence_resweep`] resume from: when only a
-//!   suffix of the classes/layers changed since the workspace's last
-//!   solve, the unaffected prefix is reused and only the suffix refills —
-//!   bit-identically to a from-scratch fill.
+//!   [`mckp_resweep`] resumes from: when only a suffix of the classes
+//!   changed since the workspace's last solve, the unaffected prefix is
+//!   reused and only the suffix refills — bit-identically to a
+//!   from-scratch fill.
 //!
 //! The single-budget entry points [`crate::mckp::solve_dp`] and
 //! [`crate::seqdp::solve_sequence`] are thin wrappers over the same cores
 //! with a one-budget grid (`scale = budget / resolution`), which keeps
 //! them bit-identical to the historical implementations — the planner
-//! equivalence pins rely on that.
+//! equivalence pins rely on that. The sequence DP has only this per-call
+//! entry point.
 //!
 //! ## Discretization bound
 //!
@@ -80,7 +79,6 @@ mod workspace;
 pub(crate) use mckp::solve_dp_with;
 pub use mckp::{mckp_resweep, mckp_sweep, solve_dp_sweep, MckpSweep};
 pub(crate) use seqdp::solve_sequence_with;
-pub use seqdp::{sequence_resweep, sequence_sweep, solve_sequence_sweep, SequenceSweep};
 pub use workspace::{SolverWorkspace, WorkspacePool};
 
 use crate::mckp::MckpError;
@@ -89,14 +87,6 @@ use crate::mckp::MckpError;
 /// budget spread would exceed it get a coarser scale instead of an
 /// unbounded table (see the module docs).
 pub const MAX_SWEEP_BUCKETS: usize = 1 << 20;
-
-/// Hard cap on the total backtrace state count of a sequence sweep
-/// (`layers × frequencies × buckets`): the sequence DP's trace multiplies
-/// the bucket axis by the layer and frequency counts, so its grid is
-/// capped by states, not buckets. The bucket floor is always at least
-/// `resolution + 1`, i.e. never coarser than the historical per-call
-/// grid, whose trace the caller already paid for.
-pub const MAX_SWEEP_STATES: usize = 1 << 24;
 
 /// The discretized time axis of one solve: a bucket width (`scale`,
 /// seconds) and the number of buckets (`buckets`, covering weights
@@ -120,27 +110,16 @@ impl Grid {
     /// A shared absolute grid covering every budget in `budgets`: the
     /// scale resolves the smallest budget into at least `resolution`
     /// buckets, and the bucket count covers the largest budget, capped at
-    /// [`MAX_SWEEP_BUCKETS`]. A one-budget batch degenerates to exactly
-    /// the historical single-budget grid.
+    /// [`MAX_SWEEP_BUCKETS`] (floored at `resolution + 1`, so a capped
+    /// grid is never coarser than the historical single-budget grid). A
+    /// one-budget batch degenerates to exactly the historical
+    /// single-budget grid.
     ///
     /// # Errors
     ///
     /// [`MckpError::InvalidInput`] for an empty batch, a non-finite or
     /// non-positive budget, or zero resolution.
     pub fn shared(budgets: &[f64], resolution: usize) -> Result<Grid, MckpError> {
-        Grid::shared_with_cap(budgets, resolution, MAX_SWEEP_BUCKETS)
-    }
-
-    /// [`Grid::shared`] with an explicit bucket cap (floored at
-    /// `resolution + 1`, so a capped grid is never coarser than the
-    /// historical single-budget grid). The sequence sweep uses this to
-    /// bound its `layers × frequencies × buckets` backtrace by
-    /// [`MAX_SWEEP_STATES`] rather than by the bucket axis alone.
-    pub fn shared_with_cap(
-        budgets: &[f64],
-        resolution: usize,
-        max_buckets: usize,
-    ) -> Result<Grid, MckpError> {
         validate_resolution(resolution)?;
         if budgets.is_empty() {
             return Err(MckpError::InvalidInput {
@@ -155,7 +134,7 @@ impl Grid {
             min_b = min_b.min(b);
             max_b = max_b.max(b);
         }
-        let max_buckets = max_buckets.max(resolution + 1);
+        let max_buckets = MAX_SWEEP_BUCKETS.max(resolution + 1);
         // `exact_limit` is clamped at the cap itself, so extreme spreads
         // (or a scale that underflows to zero) saturate there instead of
         // overflowing `usize` — hitting the cap selects the coarse branch.
@@ -320,8 +299,9 @@ mod tests {
 
     #[test]
     fn explicit_cap_never_drops_below_the_per_call_grid() {
-        let g = Grid::shared_with_cap(&[1.0, 64.0], 2000, 16).unwrap();
+        let resolution = MAX_SWEEP_BUCKETS + 5;
+        let g = Grid::shared(&[1.0, 64.0], resolution).unwrap();
         assert_eq!(g.limit_for(64.0), g.buckets - 1);
-        assert!(g.buckets >= 2001, "cap floored at resolution + 1");
+        assert!(g.buckets > resolution, "cap floored at resolution + 1");
     }
 }

@@ -9,18 +9,17 @@
 //! can create one per thread and amortize it over a batch of solves.
 //!
 //! Since the quantized-kernel rewrite the workspace also retains the
-//! **checkpointed** DP table of its last solve: one row per class/layer
-//! prefix (`mckp_rows` / `seq_rows`) together with the quantized item
-//! lanes and grid that produced it. The incremental entry points
-//! ([`crate::solver::mckp_resweep`] / [`crate::solver::sequence_resweep`])
-//! diff freshly prepared lanes against the retained ones bitwise and
-//! refill only the suffix rows after the first changed class. The scratch
-//! contract is therefore refined, not weakened: **results never depend on
-//! which workspace a solve used** — retained checkpoints only change how
-//! much of the table is *refilled*, never its contents, because a prefix
-//! is reused only when the grid and every lane byte feeding it are
-//! identical. A workspace stays safe to reuse for any later solve of any
-//! shape.
+//! **checkpointed** MCKP table of its last solve: one row per class
+//! prefix (`mckp_rows`) together with the quantized item lanes and grid
+//! that produced it. The incremental entry point
+//! ([`crate::solver::mckp_resweep`]) diffs freshly prepared lanes against
+//! the retained ones bitwise and refills only the suffix rows after the
+//! first changed class. The scratch contract is therefore refined, not
+//! weakened: **results never depend on which workspace a solve used** —
+//! retained checkpoints only change how much of the table is *refilled*,
+//! never its contents, because a prefix is reused only when the grid and
+//! every lane byte feeding it are identical. A workspace stays safe to
+//! reuse for any later solve of any shape.
 
 use stm32_rcc::Hertz;
 
@@ -45,28 +44,13 @@ pub(crate) struct SeqItem {
     pub de_diff: f64,
 }
 
-impl SeqItem {
-    /// Bitwise equality (energies compared via `to_bits`), the comparison
-    /// the incremental re-solve diff uses: a reused prefix must have been
-    /// produced by *byte-identical* lanes, so NaN-safe bit comparison is
-    /// the only acceptable notion of "unchanged".
-    pub fn bits_eq(&self, other: &SeqItem) -> bool {
-        self.f_new == other.f_new
-            && self.w_same == other.w_same
-            && self.w_diff == other.w_diff
-            && self.de_same.to_bits() == other.de_same.to_bits()
-            && self.de_diff.to_bits() == other.de_diff.to_bits()
-    }
-}
-
 /// Reusable flat buffers for the MCKP and sequence DPs.
 ///
 /// Construct once, pass to the `*_with` solver entry points (or to
-/// [`crate::solver::mckp_sweep`] / [`crate::solver::sequence_sweep`]), and
-/// keep it around: buffer capacity is retained between solves, so steady
-/// state solves allocate nothing, and the checkpointed table of the last
-/// solve stays available for [`crate::solver::mckp_resweep`] /
-/// [`crate::solver::sequence_resweep`] to reuse.
+/// [`crate::solver::mckp_sweep`]), and keep it around: buffer capacity is
+/// retained between solves, so steady state solves allocate nothing, and
+/// the checkpointed MCKP table of the last solve stays available for
+/// [`crate::solver::mckp_resweep`] to reuse.
 #[derive(Debug, Clone, Default)]
 pub struct SolverWorkspace {
     /// Checkpointed MCKP DP table, `(classes + 1) × buckets` row-major:
@@ -94,27 +78,18 @@ pub struct SolverWorkspace {
     /// The grid `mckp_rows` was filled on; `None` until the first solve.
     /// A retained prefix is only reused when the new grid is identical.
     pub(crate) mckp_grid: Option<Grid>,
-    /// Checkpointed sequence DP table, `layers × (nf × buckets)`
-    /// row-major: row `k` is the state after layer `k` (layer 0 is the
-    /// boot-initialized row). Backs both incremental re-solve and the
-    /// backtrack reconstruction, replacing the historical trace table.
+    /// Per-layer sequence DP table, `layers × (nf × buckets)` row-major:
+    /// row `k` is the state after layer `k` (layer 0 is the
+    /// boot-initialized row). Backs the backtrack reconstruction,
+    /// replacing the historical trace table.
     pub(crate) seq_rows: Vec<f64>,
     /// Per-item precomputed weights / energies / frequency ids,
     /// front-major (see `seq_offsets`).
     pub(crate) seq_items: Vec<SeqItem>,
     /// Start offset of each front in `seq_items` (plus a final sentinel).
     pub(crate) seq_offsets: Vec<usize>,
-    /// Staging buffer for freshly prepared sequence items.
-    pub(crate) seq_stage_items: Vec<SeqItem>,
-    /// Staging offsets for the fresh sequence lanes.
-    pub(crate) seq_stage_offsets: Vec<usize>,
     /// The solve's sorted, deduplicated frequency universe.
     pub(crate) freqs: Vec<Hertz>,
-    /// Staging buffer for the fresh frequency universe (the item lanes'
-    /// `f_new` ids are only comparable when the universes match).
-    pub(crate) stage_freqs: Vec<Hertz>,
-    /// The grid `seq_rows` was filled on; `None` until the first solve.
-    pub(crate) seq_grid: Option<Grid>,
 }
 
 impl SolverWorkspace {
@@ -133,7 +108,7 @@ impl SolverWorkspace {
 /// solve checks one out, reuses its retained buffers, and returns it —
 /// steady-state contended solves allocate nothing, and a hot group's
 /// checkpointed table tends to come back on the next checkout, letting
-/// the incremental entry points skip the fill entirely.
+/// the incremental entry point skip the fill entirely.
 ///
 /// Checkouts never block on other solvers: [`WorkspacePool::take`] only
 /// holds the pool lock long enough to pop a slot, and an empty pool hands
@@ -218,28 +193,6 @@ mod tests {
         assert!(ws.mckp_grid.is_none());
         // Clone + Default make it cheap to hand one per worker thread.
         let _ = ws.clone();
-    }
-
-    #[test]
-    fn seq_item_bit_equality_is_nan_safe_and_sign_aware() {
-        let a = SeqItem {
-            f_new: 1,
-            w_same: 2,
-            w_diff: 3,
-            de_same: 0.5,
-            de_diff: f64::NAN,
-        };
-        // NaN != NaN as floats, but the lane diff must treat an unchanged
-        // NaN byte pattern as unchanged.
-        assert!(a.bits_eq(&a));
-        let mut b = a;
-        b.de_same = -0.5;
-        assert!(!a.bits_eq(&b));
-        let mut c = a;
-        c.de_same = -0.0;
-        let mut d = a;
-        d.de_same = 0.0;
-        assert!(!c.bits_eq(&d), "signed zeros differ bitwise");
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! Multi-threaded stress tests of the concurrent plan-serving subsystem:
 //! ≥8 threads hammer one `PlanService` with overlapping requests, and
 //! every returned plan must be bit-identical to the corresponding serial
-//! reference — `Planner::plan` in `Exact` mode, a singleton
-//! `Planner::sweep` in the default `Swept` mode (batch-invariance) —
-//! with the cache counters consistent (`hits + misses == requests`).
+//! reference — `Planner::plan` for sequence-DP requests, the same request
+//! answered alone for reserve-grid ones (batch-invariance, pinned to a
+//! singleton `Planner::sweep`) — with the cache counters consistent
+//! (`hits + misses == requests`).
 
 use std::sync::Arc;
 
-use dae_dvfs::{
-    CoalesceMode, DseConfig, PlanRequest, PlanService, Planner, ServiceConfig, ServiceError, Solver,
-};
+use dae_dvfs::{DseConfig, PlanRequest, PlanService, Planner, ServiceConfig, ServiceError, Solver};
 use tinyengine::qos_window;
 use tinynn::models::vww_sized;
 
@@ -37,23 +36,42 @@ fn request_pool(baseline: f64) -> Vec<PlanRequest> {
     ]
 }
 
+/// Answers each request alone, on a fresh one-worker service: the
+/// reserve-grid reference a coalesced answer must equal bit for bit.
+fn answer_alone(planner: &Arc<Planner>, request: &PlanRequest) -> dae_dvfs::DeploymentPlan {
+    let mut service =
+        PlanService::new(ServiceConfig::default().with_workers(1)).expect("config validates");
+    let key = service.register(planner.clone());
+    let plan = service
+        .run(|svc| svc.plan(key, request))
+        .expect("lone request solves");
+    (*plan).clone()
+}
+
 #[test]
-fn exact_mode_is_bit_identical_to_serial_planner_plan_under_contention() {
+fn service_is_bit_identical_to_per_solver_references_under_contention() {
     let planner = planner();
     let baseline = planner.baseline_latency().expect("baseline runs");
     let pool = request_pool(baseline);
-    // Serial references, computed before any service exists.
+    // Serial references, computed before the shared service exists.
     let references: Vec<_> = pool
         .iter()
-        .map(|request| planner.plan(request).expect("serial plan solves"))
+        .map(|request| match request.solver() {
+            Solver::ReserveGrid => answer_alone(&planner, request),
+            _ => planner.plan(request).expect("serial plan solves"),
+        })
         .collect();
+    // A batch of one is a singleton sweep.
+    assert_eq!(
+        references[1],
+        planner
+            .sweep([qos_window(baseline, 0.3)])
+            .expect("singleton sweep solves")
+            .remove(0)
+    );
 
-    let mut service = PlanService::new(
-        ServiceConfig::default()
-            .with_workers(4)
-            .with_mode(CoalesceMode::Exact),
-    )
-    .expect("config validates");
+    let mut service =
+        PlanService::new(ServiceConfig::default().with_workers(4)).expect("config validates");
     let key = service.register(planner.clone());
 
     service.run(|svc| {
@@ -69,7 +87,7 @@ fn exact_mode_is_bit_identical_to_serial_planner_plan_under_contention() {
                             .expect("service answers the request");
                         assert_eq!(
                             *plan, references[index],
-                            "service plan diverged from serial Planner::plan \
+                            "service plan diverged from its serial reference \
                              for request {index}"
                         );
                     }
@@ -120,7 +138,6 @@ fn swept_mode_is_bit_identical_to_singleton_sweeps_under_contention() {
     let mut service = PlanService::new(
         ServiceConfig::default()
             .with_workers(4)
-            .with_mode(CoalesceMode::Swept)
             // Tiny cache: constant eviction pressure forces re-solves in
             // ever-different batch compositions.
             .with_cache_capacity(2)

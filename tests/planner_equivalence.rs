@@ -405,24 +405,3 @@ fn planner_sequence_matches_pre_refactor_path() {
         assert_plans_identical(&cached, &fresh, &format!("seq vww @ {slack}"));
     }
 }
-
-#[test]
-fn resweep_matches_sweep_bit_for_bit() {
-    // The incremental entry point must be indistinguishable from a cold
-    // sweep: after `sweep` primes the pooled workspace's checkpoints,
-    // `resweep` answers the same windows from the retained table (or a
-    // transparent full refill) with bit-identical plans — twice, so the
-    // second call also exercises checkpoints written by `resweep` itself.
-    let model = tinynn::models::vww_sized(32);
-    let planner = Planner::for_target(Stm32F767Target::paper(), &model).expect("planner builds");
-    let baseline = planner.baseline_latency().expect("baseline runs");
-    let windows: Vec<f64> = [0.1, 0.25, 0.3, 0.5]
-        .iter()
-        .map(|&s| qos_window(baseline, s))
-        .collect();
-    let cold = planner.sweep(windows.clone()).expect("sweep solves");
-    for round in 0..2 {
-        let warm = planner.resweep(windows.clone()).expect("resweep solves");
-        assert_eq!(warm, cold, "resweep round {round} diverged from sweep");
-    }
-}

@@ -2,9 +2,8 @@
 
 use dae_dvfs::{
     dae_forward_depthwise, dae_forward_pointwise, dae_segments, mckp_resweep, mckp_sweep,
-    pareto_front, sequence_resweep, sequence_sweep, solve_dp, solve_dp_sweep, solve_exhaustive,
-    solve_sequence, solve_sequence_sweep, DseConfig, DsePoint, Granularity, MckpItem,
-    OperatingModes, SolverWorkspace,
+    pareto_front, solve_dp, solve_dp_sweep, solve_exhaustive, solve_sequence, DseConfig, DsePoint,
+    Granularity, MckpItem, OperatingModes, SolverWorkspace,
 };
 use mcu_sim::cache::{reuse_hit_ratio, Cache, CacheConfig};
 use mcu_sim::{MemoryTiming, MemoryTraffic, OpCounts};
@@ -458,129 +457,6 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn sequence_resweep_after_mutation_matches_full_refill_bit_for_bit(
-        layer_specs in prop::collection::vec(
-            prop::collection::vec((1u64..40, 1u64..40, 0usize..3, 0u64..3), 1..3),
-            1..4,
-        ),
-        budget_factors in prop::collection::vec(0u64..150, 1..4),
-        layer_idx in 0usize..8,
-        mutation in 0usize..5,
-    ) {
-        let config = DseConfig::paper();
-        let modes = OperatingModes::fig4();
-        let mhz = [100u64, 168, 216];
-        let mut fronts: Vec<Vec<DsePoint>> = layer_specs
-            .iter()
-            .map(|items| {
-                items
-                    .iter()
-                    .map(|&(t, e, f_idx, stage)| DsePoint {
-                        granularity: Granularity(if stage > 0 { 8 } else { 0 }),
-                        hfo: *modes
-                            .hfo_at(stm32_rcc::Hertz::mhz(mhz[f_idx]))
-                            .expect("ladder frequency"),
-                        latency_secs: t as f64 * 1e-4,
-                        energy: Joules::new(e as f64 * 1e-5),
-                        switches: 0,
-                        first_stage_secs: stage as f64 * 1e-4,
-                    })
-                    .collect()
-            })
-            .collect();
-        let min_time: f64 = fronts
-            .iter()
-            .map(|f| f.iter().map(|p| p.latency_secs).fold(f64::INFINITY, f64::min))
-            .sum();
-        let budgets: Vec<f64> = budget_factors
-            .iter()
-            .map(|&f| min_time * (1.5 + f as f64 * 1e-2) + fronts.len() as f64 * 250e-6)
-            .collect();
-        let resolution = 4000;
-
-        let mut ws = SolverWorkspace::new();
-        let scale = sequence_sweep(&fronts, &budgets, resolution, &config, 0.0, &mut ws)
-            .expect("base sweep is valid")
-            .scale();
-
-        let nlayers = fronts.len();
-        let j = layer_idx % nlayers;
-        match mutation {
-            0 => {
-                let e = fronts[j][0].energy.as_f64();
-                fronts[j][0].energy = Joules::new(e + 0.173e-4);
-            }
-            // Latency drift crossing bucket boundaries of the shared grid.
-            1 => fronts[j][0].latency_secs += 2.0 * scale,
-            2 => {
-                // Front shrink (energy nudge when already a singleton).
-                // Popping may remove a frequency from the universe, which
-                // invalidates all checkpoints — still bit-identical.
-                if fronts[j].len() > 1 {
-                    fronts[j].pop();
-                } else {
-                    let e = fronts[j][0].energy.as_f64();
-                    fronts[j][0].energy = Joules::new(e + 0.211e-4);
-                }
-            }
-            3 => {
-                let f = mhz[layer_idx % mhz.len()];
-                fronts[j].push(DsePoint {
-                    granularity: Granularity(8),
-                    hfo: *modes
-                        .hfo_at(stm32_rcc::Hertz::mhz(f))
-                        .expect("ladder frequency"),
-                    latency_secs: 17e-4,
-                    energy: Joules::new(13e-5),
-                    switches: 0,
-                    first_stage_secs: 1e-4,
-                });
-            }
-            _ => {} // no drift at all
-        }
-
-        let mut scratch = SolverWorkspace::new();
-        let warm = sequence_resweep(&fronts, &budgets, resolution, &config, 0.0, &mut ws)
-            .expect("resweep is valid");
-        let cold = sequence_sweep(&fronts, &budgets, resolution, &config, 0.0, &mut scratch)
-            .expect("scratch sweep is valid");
-
-        // Value/latency drifts keep the frequency universe intact, so the
-        // refill bound holds; shrink/grow may invalidate the universe and
-        // only promise bit-identity.
-        if mutation == 4 {
-            prop_assert_eq!(warm.refilled_layers(), 0);
-        } else if mutation < 2 {
-            prop_assert!(
-                warm.refilled_layers() <= nlayers - j,
-                "mutating layer {} of {} refilled {} layers",
-                j,
-                nlayers,
-                warm.refilled_layers()
-            );
-        }
-
-        for &budget in &budgets {
-            match (warm.best_for(budget), cold.best_for(budget)) {
-                (Ok(inc), Ok(full)) => {
-                    prop_assert_eq!(&inc.choices, &full.choices);
-                    prop_assert_eq!(
-                        inc.total_time_secs.to_bits(),
-                        full.total_time_secs.to_bits()
-                    );
-                    prop_assert_eq!(
-                        inc.total_energy.to_bits(),
-                        full.total_energy.to_bits()
-                    );
-                    prop_assert_eq!(inc.frequency_changes, full.frequency_changes);
-                }
-                (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
-                (a, b) => prop_assert!(false, "warm {a:?} vs cold {b:?} disagree"),
-            }
-        }
-    }
 }
 
 /// Brute-force sequence cost of a choice vector: per-item latency/energy
@@ -619,143 +495,6 @@ proptest! {
             prop::collection::vec((1u64..40, 1u64..40, 0usize..3, 0u64..3), 1..3),
             1..4,
         ),
-    ) {
-        let config = DseConfig::paper();
-        let modes = OperatingModes::fig4();
-        let mhz = [100u64, 168, 216];
-        let fronts: Vec<Vec<DsePoint>> = layer_specs
-            .iter()
-            .map(|items| {
-                items
-                    .iter()
-                    .map(|&(t, e, f_idx, stage)| DsePoint {
-                        granularity: Granularity(if stage > 0 { 8 } else { 0 }),
-                        hfo: *modes
-                            .hfo_at(stm32_rcc::Hertz::mhz(mhz[f_idx]))
-                            .expect("ladder frequency"),
-                        latency_secs: t as f64 * 1e-4,
-                        energy: Joules::new(e as f64 * 1e-5),
-                        switches: 0,
-                        first_stage_secs: stage as f64 * 1e-4,
-                    })
-                    .collect()
-            })
-            .collect();
-        let min_time: f64 = fronts
-            .iter()
-            .map(|f| f.iter().map(|p| p.latency_secs).fold(f64::INFINITY, f64::min))
-            .sum();
-        let budget = min_time * 2.0 + fronts.len() as f64 * 250e-6;
-
-        // Brute force over all choice vectors, minimizing the same
-        // window-adjusted objective (idle power 0 keeps it simple).
-        let mut best: Option<f64> = None;
-        let mut choices = vec![0usize; fronts.len()];
-        'outer: loop {
-            let (t, e) = sequence_cost(&fronts, &choices, &config);
-            if t <= budget && best.is_none_or(|b| e < b) {
-                best = Some(e);
-            }
-            let mut k = 0;
-            loop {
-                if k == fronts.len() {
-                    break 'outer;
-                }
-                choices[k] += 1;
-                if choices[k] < fronts[k].len() {
-                    break;
-                }
-                choices[k] = 0;
-                k += 1;
-            }
-        }
-
-        let dp = solve_sequence(&fronts, budget, 8000, &config, 0.0);
-        match (best, dp) {
-            (Some(opt), Ok(sol)) => {
-                prop_assert!(sol.total_time_secs <= budget + 1e-9);
-                // DP is optimal up to discretization (ceil-rounding may
-                // exclude boundary selections, never admit worse ones
-                // below the optimum).
-                prop_assert!(
-                    sol.total_energy >= opt - 1e-12,
-                    "DP beat brute force: {} < {opt}",
-                    sol.total_energy
-                );
-                let slack = (fronts.len() + 1) as f64 * budget / 8000.0;
-                // Re-check: brute force restricted to the shrunken budget.
-                let mut shrunk: Option<f64> = None;
-                let mut ch = vec![0usize; fronts.len()];
-                'o2: loop {
-                    let (t, e) = sequence_cost(&fronts, &ch, &config);
-                    if t <= budget - slack && shrunk.is_none_or(|b| e < b) {
-                        shrunk = Some(e);
-                    }
-                    let mut k = 0;
-                    loop {
-                        if k == fronts.len() {
-                            break 'o2;
-                        }
-                        ch[k] += 1;
-                        if ch[k] < fronts[k].len() {
-                            break;
-                        }
-                        ch[k] = 0;
-                        k += 1;
-                    }
-                }
-                if let Some(s) = shrunk {
-                    prop_assert!(
-                        sol.total_energy <= s + 1e-9,
-                        "DP {} worse than shrunken-budget optimum {s}",
-                        sol.total_energy
-                    );
-                }
-            }
-            (None, Err(_)) => {} // both infeasible: consistent
-            (Some(_), Err(e)) => {
-                // The DP may miss boundary-exact selections; only fail if
-                // the brute-force optimum had real slack.
-                let (t, _) = {
-                    // recompute best-time selection
-                    let mut bt = f64::INFINITY;
-                    let mut ch = vec![0usize; fronts.len()];
-                    'o3: loop {
-                        let (t, _) = sequence_cost(&fronts, &ch, &config);
-                        bt = bt.min(t);
-                        let mut k = 0;
-                        loop {
-                            if k == fronts.len() {
-                                break 'o3;
-                            }
-                            ch[k] += 1;
-                            if ch[k] < fronts[k].len() {
-                                break;
-                            }
-                            ch[k] = 0;
-                            k += 1;
-                        }
-                    }
-                    (bt, 0.0)
-                };
-                let margin = (fronts.len() + 1) as f64 * budget / 8000.0;
-                prop_assert!(
-                    t > budget - margin,
-                    "DP infeasible ({e}) though brute force fits with slack: {t} vs {budget}"
-                );
-            }
-            (None, Ok(sol)) => {
-                prop_assert!(false, "DP found {sol:?} where brute force found nothing");
-            }
-        }
-    }
-
-    #[test]
-    fn sequence_sweep_matches_per_call_within_discretization_bound(
-        layer_specs in prop::collection::vec(
-            prop::collection::vec((1u64..40, 1u64..40, 0usize..3, 0u64..3), 1..3),
-            1..4,
-        ),
         budget_factors in prop::collection::vec(0u64..150, 1..4),
     ) {
         let config = DseConfig::paper();
@@ -783,60 +522,93 @@ proptest! {
             .iter()
             .map(|f| f.iter().map(|p| p.latency_secs).fold(f64::INFINITY, f64::min))
             .sum();
-        // Every budget clears the all-fastest schedule including a full
-        // re-lock at every boundary, so per-call and sweep are both
-        // feasible by construction.
-        let budgets: Vec<f64> = budget_factors
-            .iter()
-            .map(|&f| min_time * (1.5 + f as f64 * 1e-2) + fronts.len() as f64 * 250e-6)
-            .collect();
-        let resolution = 4000;
 
-        let swept = solve_sequence_sweep(&fronts, &budgets, resolution, &config, 0.0)
-            .expect("batch is valid");
-        for (sol, &budget) in swept.iter().zip(&budgets) {
-            let sol = sol.as_ref().expect("feasible by construction");
-            let per_call =
-                solve_sequence(&fronts, budget, resolution, &config, 0.0).expect("feasible");
-            prop_assert!(sol.total_time_secs <= budget * (1.0 + 1e-9) + 1e-12);
-            // Both lie in [OPT(B), OPT(B − (n+1)·B/resolution)] of the
-            // exact sequence objective (idle power 0 ⇒ objective = raw
-            // energy), pinned by brute force over all choice vectors.
-            let mut opt: Option<f64> = None;
-            let mut opt_tight: Option<f64> = None;
-            let slack = (fronts.len() + 1) as f64 * budget / resolution as f64;
-            let mut ch = vec![0usize; fronts.len()];
-            'bf: loop {
-                let (t, e) = sequence_cost(&fronts, &ch, &config);
-                if t <= budget && opt.is_none_or(|b| e < b) {
-                    opt = Some(e);
+        // Brute force: the exact (time, energy) of every choice vector,
+        // under the same window-adjusted objective (idle power 0 keeps it
+        // simple: objective = raw energy).
+        let mut outcomes = Vec::new();
+        let mut choices = vec![0usize; fronts.len()];
+        'outer: loop {
+            outcomes.push(sequence_cost(&fronts, &choices, &config));
+            let mut k = 0;
+            loop {
+                if k == fronts.len() {
+                    break 'outer;
                 }
-                if t <= budget - slack && opt_tight.is_none_or(|b| e < b) {
-                    opt_tight = Some(e);
+                choices[k] += 1;
+                if choices[k] < fronts[k].len() {
+                    break;
                 }
-                let mut k = 0;
-                loop {
-                    if k == fronts.len() {
-                        break 'bf;
-                    }
-                    ch[k] += 1;
-                    if ch[k] < fronts[k].len() {
-                        break;
-                    }
-                    ch[k] = 0;
-                    k += 1;
-                }
+                choices[k] = 0;
+                k += 1;
             }
-            let opt = opt.expect("feasible by construction");
-            prop_assert!(sol.total_energy >= opt - 1e-12);
-            prop_assert!(per_call.total_energy >= opt - 1e-12);
-            if let Some(tight) = opt_tight {
+        }
+        // The cheapest schedule finishing within `limit`, if any does.
+        let optimum = |limit: f64| {
+            outcomes
+                .iter()
+                .filter(|&&(t, _)| t <= limit)
+                .map(|&(_, e)| e)
+                .reduce(f64::min)
+        };
+
+        let budget = min_time * 2.0 + fronts.len() as f64 * 250e-6;
+        let margin = (fronts.len() + 1) as f64 * budget / 8000.0;
+        let dp = solve_sequence(&fronts, budget, 8000, &config, 0.0);
+        match (optimum(budget), dp) {
+            (Some(opt), Ok(sol)) => {
+                prop_assert!(sol.total_time_secs <= budget + 1e-9);
+                // DP is optimal up to discretization (ceil-rounding may
+                // exclude boundary selections, never admit worse ones
+                // below the optimum).
                 prop_assert!(
-                    sol.total_energy <= tight + 1e-9,
-                    "sweep {} worse than shrunken-budget optimum {tight}",
+                    sol.total_energy >= opt - 1e-12,
+                    "DP beat brute force: {} < {opt}",
                     sol.total_energy
                 );
-                prop_assert!(per_call.total_energy <= tight + 1e-9);
+                // Re-check: brute force restricted to the shrunken budget.
+                if let Some(s) = optimum(budget - margin) {
+                    prop_assert!(
+                        sol.total_energy <= s + 1e-9,
+                        "DP {} worse than shrunken-budget optimum {s}",
+                        sol.total_energy
+                    );
+                }
+            }
+            (None, Err(_)) => {} // both infeasible: consistent
+            (Some(_), Err(e)) => {
+                // The DP may miss boundary-exact selections; only fail if
+                // the brute-force optimum had real slack.
+                let t = outcomes.iter().map(|&(t, _)| t).fold(f64::INFINITY, f64::min);
+                prop_assert!(
+                    t > budget - margin,
+                    "DP infeasible ({e}) though brute force fits with slack: {t} vs {budget}"
+                );
+            }
+            (None, Ok(sol)) => {
+                prop_assert!(false, "DP found {sol:?} where brute force found nothing");
+            }
+        }
+
+        // Every budget below clears the all-fastest schedule including a
+        // full re-lock at every boundary, so each per-call solve is
+        // feasible by construction and lies in
+        // [OPT(B), OPT(B − (n+1)·B/resolution)].
+        let resolution = 4000;
+        for &f in &budget_factors {
+            let budget = min_time * (1.5 + f as f64 * 1e-2) + fronts.len() as f64 * 250e-6;
+            let sol = solve_sequence(&fronts, budget, resolution, &config, 0.0)
+                .expect("feasible by construction");
+            prop_assert!(sol.total_time_secs <= budget * (1.0 + 1e-9) + 1e-12);
+            let opt = optimum(budget).expect("feasible by construction");
+            prop_assert!(sol.total_energy >= opt - 1e-12);
+            let slack = (fronts.len() + 1) as f64 * budget / resolution as f64;
+            if let Some(tight) = optimum(budget - slack) {
+                prop_assert!(
+                    sol.total_energy <= tight + 1e-9,
+                    "per-call {} worse than shrunken-budget optimum {tight}",
+                    sol.total_energy
+                );
             }
         }
     }
