@@ -85,6 +85,11 @@ impl OperatingModes {
     /// configuration reachable from `hse` over the full divider space is
     /// selected.
     ///
+    /// Each frequency is one allocation-free [`ConfigSpace::min_vco_config`]
+    /// pass over the ~95 k datasheet dividers; the valid configurations
+    /// are never materialised or grouped, so building a target (as every
+    /// service restart does) allocates nothing grid-sized.
+    ///
     /// Returns `None` if any requested frequency is unreachable from
     /// `hse` within the datasheet windows.
     pub fn from_sysclks(lfo: Hertz, hse: Hertz, sysclks: &[Hertz]) -> Option<Self> {
@@ -97,10 +102,9 @@ impl OperatingModes {
             space.plln(n);
         }
         space.pllp_set(&[2, 4, 6, 8]);
-        let groups = space.iso_frequency_groups();
         let hfo = sysclks
             .iter()
-            .map(|&f| groups.iter().find(|g| g.sysclk == f).map(|g| *g.coolest()))
+            .map(|&f| space.min_vco_config(f))
             .collect::<Option<Vec<_>>>()?;
         Some(OperatingModes::custom(SysclkConfig::hse_direct(lfo), hfo))
     }

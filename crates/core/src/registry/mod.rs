@@ -31,7 +31,9 @@
 //! # Atomicity & quarantine
 //!
 //! Writes go to a process-unique temp file in the registry directory and
-//! are published with `rename`, so readers never observe a torn entry.
+//! are published with `rename`, so readers never observe a torn entry;
+//! the directory is synced after the rename, so a published entry
+//! survives power loss.
 //! Corruption is still possible (truncation by a dying writer on another
 //! filesystem, bit rot, manual tampering); any entry that fails to
 //! decode, disagrees with its own content address, or mismatches the
@@ -196,14 +198,17 @@ impl PlanRegistry {
     }
 
     /// Writes `artifact` under `key`'s content address: temp file in the
-    /// same directory, then an atomic rename, so a concurrent reader (or
-    /// a crash) never observes a torn entry.
+    /// same directory (synced), then an atomic rename, so a concurrent
+    /// reader (or a crash) never observes a torn entry, then a sync of
+    /// the directory, so the published name survives power loss.
     ///
     /// # Errors
     ///
-    /// [`RegistryError::Io`] when the temp file cannot be written or the
-    /// rename fails. The caller may treat a failed store as advisory —
-    /// the in-memory tier still holds the plan.
+    /// [`RegistryError::Io`] when the temp file cannot be written, the
+    /// rename fails, or the directory cannot be synced (`"fsync-dir"`;
+    /// the entry is then in place but not counted as a write). The
+    /// caller may treat a failed store as advisory — the in-memory tier
+    /// still holds the plan.
     pub fn store(&self, key: PlanKey, artifact: &PlanArtifact) -> Result<(), RegistryError> {
         self.store_json(key, &artifact.to_json())
     }
@@ -245,6 +250,12 @@ impl PlanRegistry {
             let _ = fs::remove_file(&temp_path);
             return Err(e);
         }
+        // The rename lives in the directory, not the file: without
+        // syncing the directory a published entry can vanish on power
+        // loss. Until it is durable the write is not counted.
+        fs::File::open(&self.dir)
+            .and_then(|d| d.sync_all())
+            .map_err(io("fsync-dir", &self.dir))?;
         self.writes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }

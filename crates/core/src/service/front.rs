@@ -27,7 +27,7 @@ use crate::request::{PlanRequest, Solver};
 use crate::service::cache::{CacheStats, Lookup, PlanCache, PlanKey, ServedPlan};
 use crate::service::coalesce::{canonicalize, solve_batch, GroupKey};
 use crate::service::ServiceConfig;
-use crate::sync::{lock, rank, wait, wait_timeout, RankedCondvar, RankedMutex};
+use crate::sync::{lock, rank, wait, wait_timeout, RankedCondvar, RankedGuard, RankedMutex};
 
 /// Handle to a planner registered with a [`PlanService`]; cheap to copy
 /// and required by [`PlanService::submit`].
@@ -307,8 +307,9 @@ pub struct PlanService {
     config: ServiceConfig,
     planners: Vec<Arc<Planner>>,
     cache: PlanCache<Arc<TicketInner>>,
-    /// The persistent cold tier, when attached: consulted by workers on
-    /// every cache miss before solving, written through after every
+    /// The persistent cold tier, when attached: consulted once per
+    /// cache-miss leader by the worker that claims it — before any batch
+    /// linger, outside the queue lock — and written through after every
     /// fresh solve ([`PlanService::attach_registry`]).
     registry: Option<PlanRegistry>,
     queue: RankedMutex<Queue>,
@@ -408,7 +409,8 @@ impl PlanService {
     /// it through [`DeploymentPlan::from_artifact`]) and quarantines
     /// corrupt or mismatched files before the registry serves its first
     /// hit. Once attached, workers consult the registry on every cache
-    /// miss before solving and write every fresh solve through.
+    /// miss before lingering or solving and write every fresh solve
+    /// through.
     ///
     /// # Errors
     ///
@@ -451,9 +453,21 @@ impl PlanService {
         self.serving_hint.store(true, Ordering::Release);
         lock(&self.timing).current = Some(Instant::now());
         let _stop_serving = StopServingOnDrop(self);
+        // Sized once per serving scope: `available_parallelism` re-reads
+        // procfs and cgroup files on every call.
+        let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let workers = match self.config.workers {
+            0 => parallelism,
+            n => n,
+        }
+        .max(1);
+        // Each worker gets its share of the machine for the swept path's
+        // extraction striping; the workers themselves already provide
+        // batch-level parallelism, so this avoids oversubscription.
+        let sweep_threads = (parallelism / workers).max(1);
         std::thread::scope(|s| {
-            for _ in 0..self.effective_workers() {
-                s.spawn(|| self.worker_loop());
+            for _ in 0..workers {
+                s.spawn(|| self.worker_loop(sweep_threads));
             }
             // The guard drains on unwind too: a panic in `f` must still
             // release the workers or the scope's join would deadlock.
@@ -462,18 +476,6 @@ impl PlanService {
             drop(drain);
             out
         })
-    }
-
-    /// The number of worker threads [`PlanService::run`] spawns.
-    fn effective_workers(&self) -> usize {
-        let workers = if self.config.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.config.workers
-        };
-        workers.max(1)
     }
 
     /// Submits a request; never blocks. On success the returned ticket
@@ -758,49 +760,106 @@ impl PlanService {
         }
     }
 
-    fn worker_loop(&self) {
+    fn worker_loop(&self, sweep_threads: usize) {
         while let Some(batch) = self.next_batch() {
-            self.solve(batch);
+            self.solve(batch, sweep_threads);
         }
     }
 
-    /// Pops the next batch: the oldest queued request plus every queued
-    /// request of the same group, bounded by `max_batch`; with a non-zero
-    /// `batch_linger`, waits up to that long for same-group stragglers
-    /// before solving. Returns `None` when the queue is drained and the
-    /// worker should exit.
+    /// Claims the next solve batch: the oldest queued leader plus every
+    /// queued leader of the same group, bounded by `max_batch`, taken
+    /// together under the queue lock so no other worker can split the
+    /// group. With a registry attached, the claimed leaders are then
+    /// looked up on disk *outside* the lock and hits are published at
+    /// once; if every leader hit, the worker returns to the queue
+    /// without lingering. Only a batch that still has to be solved waits
+    /// (a non-zero `batch_linger`) for same-group stragglers, which are
+    /// looked up in turn. Every leader of the returned batch has
+    /// therefore missed the registry exactly once. Returns `None` when
+    /// the queue is drained and the worker should exit.
     fn next_batch(&self) -> Option<Vec<Pending>> {
-        let mut queue = lock(&self.queue);
-        let first = loop {
-            if let Some(pending) = queue.items.pop_front() {
-                break pending;
-            }
-            if queue.draining {
-                return None;
-            }
-            queue = wait(&self.arrived, queue);
-        };
-        let group = first.group;
-        let mut batch = vec![first];
-        Self::extract_group(&mut queue.items, group, self.config.max_batch, &mut batch);
-        if self.config.batch_linger > Duration::ZERO {
-            let deadline = Instant::now() + self.config.batch_linger;
-            while batch.len() < self.config.max_batch && !queue.draining {
-                let Some(remaining) = deadline
-                    .checked_duration_since(Instant::now())
-                    .filter(|d| !d.is_zero())
-                else {
-                    break;
-                };
-                let (guard, timeout) = wait_timeout(&self.arrived, queue, remaining);
-                queue = guard;
-                Self::extract_group(&mut queue.items, group, self.config.max_batch, &mut batch);
-                if timeout.timed_out() {
-                    break;
+        loop {
+            let mut queue = lock(&self.queue);
+            let first = loop {
+                if let Some(pending) = queue.items.pop_front() {
+                    break pending;
                 }
+                if queue.draining {
+                    return None;
+                }
+                queue = wait(&self.arrived, queue);
+            };
+            let group = first.group;
+            let mut batch = vec![first];
+            Self::extract_group(&mut queue.items, group, self.config.max_batch, &mut batch);
+            if self.registry.is_some() {
+                drop(queue);
+                self.serve_registry_hits(&mut batch);
+                if batch.is_empty() {
+                    continue;
+                }
+                queue = lock(&self.queue);
+            }
+            let looked_up = batch.len();
+            self.linger(queue, group, &mut batch);
+            let mut stragglers = batch.split_off(looked_up);
+            self.serve_registry_hits(&mut stragglers);
+            batch.append(&mut stragglers);
+            return Some(batch);
+        }
+    }
+
+    /// With a non-zero `batch_linger`, waits up to that long for
+    /// same-group stragglers, moving them into `batch` as they arrive
+    /// (up to `max_batch`); consumes the queue guard.
+    fn linger(&self, mut queue: RankedGuard<'_, Queue>, group: GroupKey, batch: &mut Vec<Pending>) {
+        if self.config.batch_linger.is_zero() {
+            return;
+        }
+        let deadline = Instant::now() + self.config.batch_linger;
+        while batch.len() < self.config.max_batch && !queue.draining {
+            let Some(remaining) = deadline
+                .checked_duration_since(Instant::now())
+                .filter(|d| !d.is_zero())
+            else {
+                break;
+            };
+            let (guard, timeout) = wait_timeout(&self.arrived, queue, remaining);
+            queue = guard;
+            Self::extract_group(&mut queue.items, group, self.config.max_batch, batch);
+            if timeout.timed_out() {
+                break;
             }
         }
-        Some(batch)
+    }
+
+    /// Looks every leader of `batch` up in the attached registry (a
+    /// no-op without one) and publishes the hits — the leader stamped
+    /// [`ServePath::RegistryHit`], since it paid for the disk load, and
+    /// its joiners [`ServePath::FlightJoin`] — leaving only the misses in
+    /// `batch`. Hits never count toward the batch counters: `batches`
+    /// counts *solves*. Must be called without the queue lock held.
+    fn serve_registry_hits(&self, batch: &mut Vec<Pending>) {
+        let Some(registry) = &self.registry else {
+            return;
+        };
+        batch.retain(|pending| {
+            let planner = &self.planners[pending.planner];
+            let Some(served) = registry.load(pending.key, planner) else {
+                return true;
+            };
+            let waiters = self.cache.complete(pending.key, Some(served.clone()));
+            let outcome = Ok(served);
+            self.fulfill(
+                &pending.ticket,
+                &outcome,
+                PathStamp::instant(ServePath::RegistryHit),
+            );
+            for ticket in waiters {
+                self.fulfill(&ticket, &outcome, PathStamp::instant(ServePath::FlightJoin));
+            }
+            false
+        });
     }
 
     /// Moves queued requests matching `group` into `batch` (up to `cap`
@@ -831,46 +890,13 @@ impl PlanService {
     /// is completed first (releasing joined waiters), then all tickets
     /// are fulfilled.
     ///
-    /// With a registry attached, each leader first consults the cold
-    /// tier: disk hits are published without a solve (and without
-    /// counting toward the batch counters — `batches` counts *solves*),
-    /// and only the remainder pays for the coalesced solve, whose fresh
-    /// plans are then written through to disk.
-    fn solve(&self, batch: Vec<Pending>) {
+    /// Every leader has already missed the registry ([`Self::next_batch`]
+    /// consults the cold tier before lingering), so the whole batch pays
+    /// for the coalesced solve; with a registry attached its fresh plans
+    /// are then written through to disk. `sweep_threads` is the swept
+    /// path's extraction striping, sized once by [`PlanService::run`].
+    fn solve(&self, batch: Vec<Pending>, sweep_threads: usize) {
         let planner = &self.planners[batch[0].planner];
-        let batch = match &self.registry {
-            Some(registry) => {
-                let mut remaining = Vec::with_capacity(batch.len());
-                for pending in batch {
-                    match registry.load(pending.key, planner) {
-                        Some(served) => {
-                            let waiters = self.cache.complete(pending.key, Some(served.clone()));
-                            let outcome = Ok(served);
-                            // The leader paid for the disk load; joiners
-                            // merely shared its flight.
-                            self.fulfill(
-                                &pending.ticket,
-                                &outcome,
-                                PathStamp::instant(ServePath::RegistryHit),
-                            );
-                            for ticket in waiters {
-                                self.fulfill(
-                                    &ticket,
-                                    &outcome,
-                                    PathStamp::instant(ServePath::FlightJoin),
-                                );
-                            }
-                        }
-                        None => remaining.push(pending),
-                    }
-                }
-                remaining
-            }
-            None => batch,
-        };
-        if batch.is_empty() {
-            return;
-        }
         self.counters.batches.fetch_add(1, Ordering::Relaxed);
         self.counters
             .batched_requests
@@ -880,14 +906,6 @@ impl PlanService {
             .fetch_max(batch.len() as u64, Ordering::Relaxed);
         let group = batch[0].group;
         let windows: Vec<f64> = batch.iter().map(|p| p.window_secs).collect();
-        // Each worker gets its share of the machine for the swept path's
-        // extraction striping; the workers themselves already provide
-        // batch-level parallelism, so this avoids oversubscription.
-        let sweep_threads = (std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            / self.effective_workers())
-        .max(1);
         // A panicking solve must still release the batch's tickets (and
         // any joined waiters) before the panic unwinds the worker —
         // otherwise a submitter blocked in `PlanTicket::wait` inside the
@@ -1391,5 +1409,126 @@ mod tests {
             1
         );
         assert_eq!(stats.paths.total_count(), 2);
+    }
+
+    fn fresh_registry_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("dae-dvfs-front-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Solves `windows` once through a registry-backed service, so the
+    /// registry at `dir` holds each of them on return.
+    fn populate_registry(dir: &std::path::Path, planner: &Arc<Planner>, windows: &[f64]) {
+        let mut service = PlanService::new(ServiceConfig::default().with_workers(1)).unwrap();
+        let key = service.register(planner.clone());
+        service
+            .attach_registry(PlanRegistry::open(dir).unwrap())
+            .unwrap();
+        service.run(|svc| {
+            for &w in windows {
+                svc.plan(key, &PlanRequest::qos(w)).expect("planned");
+            }
+        });
+        assert_eq!(service.stats().registry_writes, windows.len() as u64);
+    }
+
+    #[test]
+    fn registry_hits_do_not_wait_for_the_batch_linger() {
+        let dir = fresh_registry_dir("no-linger");
+        let planner = small_planner();
+        let window = tinyengine::qos_window(planner.baseline_latency().unwrap(), 0.3);
+        populate_registry(&dir, &planner, &[window]);
+
+        let linger = Duration::from_millis(200);
+        let mut service = PlanService::new(
+            ServiceConfig::default()
+                .with_workers(1)
+                .with_batch_linger(linger),
+        )
+        .unwrap();
+        let key = service.register(planner);
+        service
+            .attach_registry(PlanRegistry::open(&dir).unwrap())
+            .unwrap();
+        let (_, receipt) = service
+            .run(|svc| svc.plan_receipted(key, &PlanRequest::qos(window)))
+            .unwrap();
+        assert_eq!(receipt.path, ServePath::RegistryHit);
+        assert!(
+            u128::from(receipt.total_nanos) < linger.as_nanos() / 2,
+            "a registry hit sat out the linger: {} ns",
+            receipt.total_nanos
+        );
+        let stats = service.stats();
+        assert_eq!(stats.batches, 0);
+        assert_eq!(stats.registry_hits, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_half_stored_burst_serves_hits_from_disk_and_coalesces_the_misses() {
+        let dir = fresh_registry_dir("half-stored");
+        let planner = small_planner();
+        let baseline = planner.baseline_latency().unwrap();
+        let windows: Vec<f64> = (0..8)
+            .map(|i| tinyengine::qos_window(baseline, 0.15 + 0.1 * i as f64))
+            .collect();
+        let stored: Vec<f64> = windows.iter().copied().step_by(2).collect();
+        populate_registry(&dir, &planner, &stored);
+
+        let mut service = PlanService::new(
+            ServiceConfig::default()
+                .with_workers(1)
+                .with_batch_linger(Duration::from_millis(20)),
+        )
+        .unwrap();
+        let key = service.register(planner.clone());
+        service
+            .attach_registry(PlanRegistry::open(&dir).unwrap())
+            .unwrap();
+        let answers = service.run(|svc| {
+            let tickets: Vec<_> = windows
+                .iter()
+                .map(|&w| svc.submit(key, &PlanRequest::qos(w)).expect("admitted"))
+                .collect();
+            tickets
+                .into_iter()
+                .map(|t| {
+                    let (result, stamp) = t.wait_stamped();
+                    (result.expect("planned"), stamp.path)
+                })
+                .collect::<Vec<_>>()
+        });
+        let misses = windows.len() - stored.len();
+        for ((served, path), &w) in answers.iter().zip(&windows) {
+            if stored.contains(&w) {
+                assert_eq!(*path, ServePath::RegistryHit, "window {w}");
+            } else {
+                assert_ne!(*path, ServePath::RegistryHit, "window {w}");
+            }
+            // Disk hit or coalesced solve, every body equals the
+            // singleton sweep's artifact, byte for byte.
+            let solo = planner.sweep([w]).unwrap().remove(0);
+            assert_eq!(&**served.plan(), &solo);
+            assert_eq!(
+                &**served.bytes(),
+                solo.to_artifact(&planner).to_json().as_bytes()
+            );
+        }
+        let stats = service.stats();
+        assert!(
+            stats.batches < misses as u64,
+            "misses were not coalesced: {stats:?}"
+        );
+        assert_eq!(stats.batched_requests, misses as u64);
+        assert_eq!(stats.registry_hits, stored.len() as u64);
+        assert_eq!(stats.registry_writes, misses as u64);
+        assert_eq!(
+            stats.cache.inserted,
+            stats.registry_hits + stats.registry_writes
+        );
+        assert_eq!(stats.quarantined, 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

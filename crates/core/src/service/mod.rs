@@ -26,6 +26,10 @@
 //!    singleton sweep of the same window, no matter what else was in the
 //!    batch. Sequence-DP groups are answered one request at a time via
 //!    [`crate::Planner::plan`], bit-identical to a serial call.
+//!    With a registry attached ([`PlanService::attach_registry`]), the
+//!    worker that claims a group looks its leaders up on disk *before*
+//!    the batching window: registry hits are answered at once, and only
+//!    the misses linger for stragglers and pay for the coalesced solve.
 //! 3. **Front end** (`front`): a worker pool on `std::thread::scope`
 //!    ([`PlanService::run`]), a bounded submission queue with typed
 //!    backpressure ([`crate::ServiceError::QueueFull`]), graceful drain
@@ -90,7 +94,9 @@ pub struct ServiceConfig {
     /// Most leaders one coalesced batch may answer.
     pub max_batch: usize,
     /// How long a worker holding a non-full batch waits for same-group
-    /// stragglers before solving (zero: solve immediately).
+    /// stragglers before solving (zero: solve immediately). The linger
+    /// delays solves only: registry hits are answered before it and
+    /// never wait.
     pub batch_linger: Duration,
     /// QoS windows are snapped *down* onto this grid before keying the
     /// cache, so jittered near-identical deadlines share one entry; the

@@ -185,12 +185,32 @@ impl ConfigSpace {
     }
 
     /// The power-optimal (minimum-VCO) configuration for a target SYSCLK,
-    /// if the grid can produce it.
+    /// if the grid can produce it: the [`IsoFrequencyGroup::coolest`] of
+    /// `target`'s group in [`ConfigSpace::iso_frequency_groups`].
+    ///
+    /// One streaming pass over the grid with no allocation: it keeps the
+    /// first valid configuration that minimises
+    /// `(vco_output(), label_tuple())`, which is exactly the head of the
+    /// group's stable sort. Large grids (e.g. the full datasheet divider
+    /// space) are therefore cheap to query per frequency.
     pub fn min_vco_config(&self, target: Hertz) -> Option<PllConfig> {
-        self.iso_frequency_groups()
-            .into_iter()
-            .find(|g| g.sysclk == target)
-            .map(|g| *g.coolest())
+        let key = |c: &PllConfig| (c.vco_output(), c.label_tuple());
+        let mut best: Option<PllConfig> = None;
+        for &hse in &self.hse_frequencies {
+            for &m in &self.pllm_values {
+                for &n in &self.plln_values {
+                    for &p in &self.pllp_values {
+                        let Ok(cfg) = PllConfig::new(ClockSource::hse(hse), m, n, p) else {
+                            continue;
+                        };
+                        if cfg.sysclk() == target && best.is_none_or(|b| key(&cfg) < key(&b)) {
+                            best = Some(cfg);
+                        }
+                    }
+                }
+            }
+        }
+        best
     }
 
     /// The distinct SYSCLK frequencies the grid can produce via the PLL,
@@ -275,6 +295,51 @@ mod tests {
                 assert!(best.vco_output() <= cfg.vco_output());
             }
         }
+    }
+
+    /// The full datasheet divider grid on a 50 MHz HSE — the space
+    /// `OperatingModes::from_sysclks` searches for the lean target.
+    fn datasheet_grid() -> ConfigSpace {
+        let mut space = ConfigSpace::new();
+        space.hse(Hertz::mhz(50));
+        for m in 2..=63 {
+            space.pllm(m);
+        }
+        for n in 50..=432 {
+            space.plln(n);
+        }
+        space.pllp_set(&[2, 4, 6, 8]);
+        space
+    }
+
+    fn assert_streaming_matches_grouped(space: &ConfigSpace, keep: impl Fn(usize, Hertz) -> bool) {
+        let groups = space.iso_frequency_groups();
+        assert!(!groups.is_empty());
+        for (i, group) in groups
+            .iter()
+            .enumerate()
+            .filter(|(i, g)| keep(*i, g.sysclk))
+        {
+            assert_eq!(
+                space.min_vco_config(group.sysclk),
+                Some(*group.coolest()),
+                "group {i}: {} Hz",
+                group.sysclk.as_u64()
+            );
+        }
+    }
+
+    #[test]
+    fn streaming_min_vco_config_matches_the_grouped_coolest() {
+        assert_streaming_matches_grouped(&ConfigSpace::wide(), |_, _| true);
+        assert_streaming_matches_grouped(&ConfigSpace::paper(), |_, _| true);
+        // The datasheet grid reaches ~14.6 k distinct frequencies and each
+        // query is a full pass over its ~95 k dividers, so check every
+        // whole-MHz SYSCLK (the lean ladder's among them) plus an evenly
+        // strided sample of the rest.
+        assert_streaming_matches_grouped(&datasheet_grid(), |i, f| {
+            f.as_u64() % 1_000_000 == 0 || i % 256 == 0
+        });
     }
 
     #[test]
