@@ -301,7 +301,7 @@ impl PlanArtifact {
     ///
     /// [`DaeDvfsError::ArtifactParse`] under the same conditions as
     /// [`PlanArtifact::from_json`].
-    pub fn from_value(value: &json::Value) -> Result<Self, DaeDvfsError> {
+    pub fn from_value(value: &json::Value<'_>) -> Result<Self, DaeDvfsError> {
         let obj = value.as_object("artifact root")?;
         let kind = obj.get_str("artifact")?;
         if kind != ARTIFACT_KIND {
@@ -453,9 +453,12 @@ pub mod json {
     //! The workspace's one JSON writer and one JSON parser.
     //!
     //! The parser ([`parse`]) reads the subset every document here uses:
-    //! objects, arrays, strings (with escapes), numbers (kept as raw text so
-    //! `f64` parsing is exact), booleans and null, nested at most
-    //! [`MAX_DEPTH`] deep.
+    //! objects, arrays, strings (with escapes), numbers, booleans and null,
+    //! nested at most [`MAX_DEPTH`] deep. Its [`Value`] tree borrows from
+    //! the parsed text: numbers are borrowed raw text (so `f64` parsing is
+    //! exact), and strings and keys are borrowed unless they contain
+    //! escapes, so a parse allocates only for arrays, objects and escaped
+    //! strings.
     //!
     //! The writer streams fields straight into a `String` in one of two
     //! layouts, picked by the kind of document: [`compact`] (receipts, trace
@@ -465,6 +468,7 @@ pub mod json {
     //! cannot diverge, and every document it writes reads back with
     //! [`parse`].
 
+    use std::borrow::Cow;
     use std::fmt::Write as _;
 
     use super::parse_err;
@@ -626,26 +630,26 @@ pub mod json {
         out.push('"');
     }
 
-    /// A parsed JSON value. Numbers keep their raw text.
+    /// A parsed JSON value, borrowing from the text it was parsed from.
     #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
+    pub enum Value<'a> {
         Null,
         Bool(bool),
-        Num(String),
-        Str(String),
-        Arr(Vec<Value>),
-        Obj(Vec<(String, Value)>),
+        Num(&'a str),
+        Str(Cow<'a, str>),
+        Arr(Vec<Value<'a>>),
+        Obj(Vec<(Cow<'a, str>, Value<'a>)>),
     }
 
-    impl Value {
-        pub fn as_object(&self, what: &str) -> Result<Object<'_>, DaeDvfsError> {
+    impl<'a> Value<'a> {
+        pub fn as_object(&self, what: &str) -> Result<Object<'_, 'a>, DaeDvfsError> {
             match self {
                 Value::Obj(fields) => Ok(Object { fields }),
                 other => Err(parse_err(format!("{what}: expected object, got {other:?}"))),
             }
         }
 
-        pub fn as_array(&self, what: &str) -> Result<&[Value], DaeDvfsError> {
+        pub fn as_array(&self, what: &str) -> Result<&[Value<'a>], DaeDvfsError> {
             match self {
                 Value::Arr(items) => Ok(items),
                 other => Err(parse_err(format!("{what}: expected array, got {other:?}"))),
@@ -653,13 +657,14 @@ pub mod json {
         }
     }
 
-    /// Field access over a parsed object.
-    pub struct Object<'a> {
-        fields: &'a [(String, Value)],
+    /// Field access over a parsed object (`'v` is the borrow of the
+    /// tree, `'a` of the parsed text). The first field with a key wins.
+    pub struct Object<'v, 'a> {
+        fields: &'v [(Cow<'a, str>, Value<'a>)],
     }
 
-    impl<'a> Object<'a> {
-        pub fn get(&self, key: &'static str) -> Result<&'a Value, DaeDvfsError> {
+    impl<'v, 'a> Object<'v, 'a> {
+        pub fn get(&self, key: &'static str) -> Result<&'v Value<'a>, DaeDvfsError> {
             self.fields
                 .iter()
                 .find(|(k, _)| k == key)
@@ -667,7 +672,16 @@ pub mod json {
                 .ok_or_else(|| parse_err(format!("missing field {key:?}")))
         }
 
-        pub fn get_str(&self, key: &'static str) -> Result<&'a str, DaeDvfsError> {
+        /// A string field as parsed: borrowed from the text unless it
+        /// had escapes, so it can outlive the tree.
+        pub fn get_cow(&self, key: &'static str) -> Result<Cow<'a, str>, DaeDvfsError> {
+            match self.get(key)? {
+                Value::Str(s) => Ok(s.clone()),
+                other => Err(parse_err(format!("{key}: expected string, got {other:?}"))),
+            }
+        }
+
+        pub fn get_str(&self, key: &'static str) -> Result<&'v str, DaeDvfsError> {
             match self.get(key)? {
                 Value::Str(s) => Ok(s),
                 other => Err(parse_err(format!("{key}: expected string, got {other:?}"))),
@@ -700,9 +714,11 @@ pub mod json {
         }
     }
 
-    /// Parses a complete JSON document (one value plus whitespace).
-    pub fn parse(text: &str) -> Result<Value, DaeDvfsError> {
+    /// Parses a complete JSON document (one value plus whitespace). The
+    /// returned tree borrows from `text`.
+    pub fn parse(text: &str) -> Result<Value<'_>, DaeDvfsError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -717,13 +733,14 @@ pub mod json {
     }
 
     struct Parser<'a> {
+        text: &'a str,
         bytes: &'a [u8],
         pos: usize,
         /// Arrays and objects currently open around `pos`.
         depth: usize,
     }
 
-    impl Parser<'_> {
+    impl<'a> Parser<'a> {
         fn skip_ws(&mut self) {
             while let Some(&b) = self.bytes.get(self.pos) {
                 if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
@@ -762,7 +779,7 @@ pub mod json {
             }
         }
 
-        fn value(&mut self) -> Result<Value, DaeDvfsError> {
+        fn value(&mut self) -> Result<Value<'a>, DaeDvfsError> {
             match self.peek()? {
                 open @ (b'{' | b'[') => {
                     if self.depth == MAX_DEPTH {
@@ -792,7 +809,7 @@ pub mod json {
             }
         }
 
-        fn object(&mut self) -> Result<Value, DaeDvfsError> {
+        fn object(&mut self) -> Result<Value<'a>, DaeDvfsError> {
             self.expect(b'{')?;
             let mut fields = Vec::new();
             self.skip_ws();
@@ -825,7 +842,7 @@ pub mod json {
             }
         }
 
-        fn array(&mut self) -> Result<Value, DaeDvfsError> {
+        fn array(&mut self) -> Result<Value<'a>, DaeDvfsError> {
             self.expect(b'[')?;
             let mut items = Vec::new();
             self.skip_ws();
@@ -853,9 +870,11 @@ pub mod json {
             }
         }
 
-        fn string(&mut self) -> Result<String, DaeDvfsError> {
+        /// A string: a slice of the text unless it has escapes, which
+        /// switch it to an owned copy.
+        fn string(&mut self) -> Result<Cow<'a, str>, DaeDvfsError> {
             self.expect(b'"')?;
-            let mut out = String::new();
+            let mut owned: Option<String> = None;
             loop {
                 let start = self.pos;
                 // Fast-forward over the unescaped run.
@@ -865,16 +884,24 @@ pub mod json {
                     }
                     self.pos += 1;
                 }
-                out.push_str(
-                    std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|e| parse_err(format!("invalid UTF-8 in string: {e}")))?,
-                );
+                // The run starts and ends next to ASCII (a quote, an
+                // escape or the end of the text), so it is a whole-char
+                // slice of the `&str` being parsed.
+                let run = &self.text[start..self.pos];
                 match self.peek()? {
                     b'"' => {
                         self.pos += 1;
-                        return Ok(out);
+                        return Ok(match owned {
+                            None => Cow::Borrowed(run),
+                            Some(mut out) => {
+                                out.push_str(run);
+                                Cow::Owned(out)
+                            }
+                        });
                     }
                     b'\\' => {
+                        let out = owned.get_or_insert_with(String::new);
+                        out.push_str(run);
                         self.pos += 1;
                         match self.peek()? {
                             b'"' => out.push('"'),
@@ -935,7 +962,7 @@ pub mod json {
             Ok(code)
         }
 
-        fn number(&mut self) -> Result<Value, DaeDvfsError> {
+        fn number(&mut self) -> Result<Value<'a>, DaeDvfsError> {
             let start = self.pos;
             if self.peek()? == b'-' {
                 self.pos += 1;
@@ -950,9 +977,7 @@ pub mod json {
             if self.pos == start {
                 return Err(parse_err(format!("empty number at byte {start}")));
             }
-            let raw =
-                std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
-            Ok(Value::Num(raw.to_string()))
+            Ok(Value::Num(&self.text[start..self.pos]))
         }
     }
 }
@@ -1192,6 +1217,13 @@ mod tests {
             json::Value::Str(s) => assert_eq!(s, "é🎛"),
             other => panic!("expected string, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn duplicate_keys_parse_and_the_first_wins() {
+        let parsed = json::parse(r#"{"k": 1, "k": 2, "k": 3}"#).expect("parses");
+        let obj = parsed.as_object("doc").expect("object");
+        assert_eq!(obj.get_u64("k").expect("u64"), 1);
     }
 
     #[test]

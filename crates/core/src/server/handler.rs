@@ -14,6 +14,8 @@
 //!
 //! [`PlanService`]: crate::PlanService
 
+use std::borrow::Cow;
+
 use crate::artifact::json;
 use crate::error::{DaeDvfsError, ServiceError};
 use crate::request::PlanRequest;
@@ -176,14 +178,12 @@ pub(crate) fn handle(server: &PlanServer<'_>, conn: &mut Conn, request: &Request
 
 /// Decodes the `POST /v1/plan` body: `{"planner": <route name>,
 /// "qos_secs": <f64> | "slack": <f64>, "solver"?: <tag>,
-/// "dp_resolution"?: <u64>}`.
-fn decode_plan_request(body: &str) -> Result<(String, PlanRequest), String> {
+/// "dp_resolution"?: <u64>}`. The planner name borrows from `body`
+/// unless it was written with escapes.
+fn decode_plan_request(body: &str) -> Result<(Cow<'_, str>, PlanRequest), String> {
     let value = json::parse(body).map_err(|e| e.to_string())?;
     let obj = value.as_object("plan request").map_err(|e| e.to_string())?;
-    let planner = obj
-        .get_str("planner")
-        .map_err(|e| e.to_string())?
-        .to_string();
+    let planner = obj.get_cow("planner").map_err(|e| e.to_string())?;
     let mut request = match (obj.get("qos_secs").is_ok(), obj.get("slack").is_ok()) {
         (true, false) => PlanRequest::qos(obj.get_f64("qos_secs").map_err(|e| e.to_string())?),
         (false, true) => PlanRequest::slack(obj.get_f64("slack").map_err(|e| e.to_string())?),
@@ -425,6 +425,14 @@ mod tests {
         )
         .is_err());
         assert!(decode_plan_request("not json").is_err());
+
+        // The name borrows from the body, unless it was escaped.
+        let body = "{\"planner\": \"vww\", \"slack\": 0.3}";
+        let (name, _) = decode_plan_request(body).unwrap();
+        assert!(matches!(name, Cow::Borrowed(n) if std::ptr::eq(n, &body[13..16])));
+        let (name, _) =
+            decode_plan_request("{\"planner\": \"v\\u0077w\", \"slack\": 0.3}").unwrap();
+        assert!(matches!(name, Cow::Owned(ref n) if n == "vww"));
     }
 
     #[test]

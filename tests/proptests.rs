@@ -942,3 +942,129 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+// ---- the JSON parser ----------------------------------------------------
+
+/// Maps a draw onto a character from one of the classes the escaper and
+/// the parser treat differently: control characters, `"`, `\`,
+/// printable ASCII, 2- and 3-byte UTF-8, and the astral plane (a
+/// surrogate pair in `\u` form).
+fn json_char(class: u8, code: u32) -> char {
+    let pick =
+        |lo: u32, hi: u32| char::from_u32(lo + code % (hi - lo)).expect("no surrogates in range");
+    match class {
+        0 => pick(0, 0x20),
+        1 => '"',
+        2 => '\\',
+        3 => pick(0x20, 0x7f),
+        4 => pick(0x80, 0xd800),
+        5 => pick(0xe000, 0x1_0000),
+        _ => pick(0x1_0000, 0x11_0000),
+    }
+}
+
+fn json_string(chars: &[(u8, u32)]) -> String {
+    chars
+        .iter()
+        .map(|&(class, code)| json_char(class, code))
+        .collect()
+}
+
+/// Whether `s` lies inside `text`'s bytes, i.e. was borrowed, not copied.
+fn borrowed_from(text: &str, s: &str) -> bool {
+    text.as_bytes().as_ptr_range().contains(&s.as_ptr())
+}
+
+proptest! {
+    /// Whatever the writer escapes, the parser reads back: as a key and as
+    /// a value, and again when every character is written as `\u` escapes.
+    #[test]
+    fn json_escaped_strings_round_trip(
+        chars in prop::collection::vec((0u8..7, any::<u32>()), 0..24),
+    ) {
+        use dae_dvfs::artifact::json::{self, Value};
+        use std::borrow::Cow;
+
+        let s = json_string(&chars);
+        let mut text = String::new();
+        json::compact(&mut text, |o| {
+            o.str(&s, &s);
+        });
+        let parsed = json::parse(&text).expect("the writer's output parses");
+        prop_assert_eq!(
+            &parsed,
+            &Value::Obj(vec![(Cow::Borrowed(s.as_str()), Value::Str(Cow::Borrowed(&s)))])
+        );
+
+        let mut escaped = String::from("\"");
+        for unit in s.encode_utf16() {
+            escaped.push_str(&format!("\\u{unit:04x}"));
+        }
+        escaped.push('"');
+        let parsed = json::parse(&escaped).expect("\\u escapes parse");
+        prop_assert_eq!(parsed, Value::Str(Cow::Borrowed(&s)));
+    }
+
+    /// Escape-free strings, keys and numbers are slices of the parsed
+    /// text: the zero-copy path that keeps a registry hit allocation-light.
+    #[test]
+    fn json_escape_free_text_is_borrowed(
+        key in prop::collection::vec((3u8..7, any::<u32>()), 0..16),
+        value in prop::collection::vec((3u8..7, any::<u32>()), 0..16),
+        number in any::<u64>(),
+        float in -1e9f64..1e9,
+    ) {
+        use dae_dvfs::artifact::json::{self, Value};
+        use std::borrow::Cow;
+
+        let plain = |chars: &[(u8, u32)]| json_string(chars).replace(['"', '\\'], "_");
+        let (key, value) = (plain(&key), plain(&value));
+        let mut text = String::new();
+        json::compact(&mut text, |o| {
+            o.str(&key, &value).u64("n", number).f64("x", float);
+        });
+        let parsed = json::parse(&text).expect("parses");
+        let Value::Obj(fields) = &parsed else {
+            panic!("expected an object, got {parsed:?}");
+        };
+        prop_assert_eq!(fields.len(), 3);
+        let (k, v) = &fields[0];
+        prop_assert!(matches!(k, Cow::Borrowed(b) if *b == key && borrowed_from(&text, b)));
+        prop_assert!(matches!(v, Value::Str(Cow::Borrowed(b)) if *b == value && borrowed_from(&text, b)));
+        for (name, expected) in [("n", number.to_string()), ("x", float.to_string())] {
+            let Some((_, Value::Num(raw))) = fields.iter().find(|(k, _)| k == name) else {
+                panic!("{name} missing from {parsed:?}");
+            };
+            prop_assert_eq!(*raw, expected.as_str());
+            prop_assert!(borrowed_from(&text, raw));
+        }
+        let obj = parsed.as_object("doc").expect("object");
+        prop_assert_eq!(obj.get_u64("n").expect("u64"), number);
+        prop_assert_eq!(obj.get_f64("x").expect("f64").to_bits(), float.to_bits());
+    }
+}
+
+#[test]
+fn json_keys_written_with_escapes_match_object_get() {
+    use dae_dvfs::artifact::json::{self, Value};
+    use std::borrow::Cow;
+
+    // Through the writer: a key that needs escaping finds its field.
+    const ODD: &str = "pl\"an\\ner\n\u{1}";
+    let mut text = String::new();
+    json::compact(&mut text, |o| {
+        o.str(ODD, "vww").u64("n", 1);
+    });
+    let parsed = json::parse(&text).expect("parses");
+    let obj = parsed.as_object("doc").expect("object");
+    assert_eq!(obj.get_str(ODD).expect("escaped key found"), "vww");
+
+    // Through `\u` escapes a writer would never emit: the decoded key
+    // matches, and the escaped value is an owned copy of the decoded text.
+    let parsed = json::parse(r#"{"\u0070lanner": "v\u0077w", "n": 2}"#).expect("parses");
+    let obj = parsed.as_object("doc").expect("object");
+    assert_eq!(obj.get_str("planner").expect("decoded key found"), "vww");
+    assert!(matches!(obj.get_cow("planner"), Ok(Cow::Owned(s)) if s == "vww"));
+    assert_eq!(obj.get_u64("n").expect("u64"), 2);
+    assert!(matches!(obj.get("n"), Ok(Value::Num("2"))));
+}

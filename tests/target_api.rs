@@ -80,6 +80,40 @@ fn slow_board() -> GenericCortexMTarget {
 }
 
 #[test]
+fn baseline_latency_is_stored_bit_identical_to_a_fresh_replay() {
+    let model = vww_sized(32);
+    let planners = [
+        Planner::for_target(Stm32F767Target::paper(), &model).expect("f767 builds"),
+        Planner::for_target(slow_board(), &model).expect("slow board builds"),
+    ];
+    for planner in &planners {
+        let id = planner.target().id();
+        // The first calls race from several threads to store the value.
+        let raced: Vec<u64> = std::thread::scope(|s| {
+            let calls: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| planner.baseline_latency().expect("baseline").to_bits()))
+                .collect();
+            calls
+                .into_iter()
+                .map(|c| c.join().expect("no panic"))
+                .collect()
+        });
+        let replay = || {
+            let lowered = planner.baseline().expect("baseline lowers");
+            let mut machine = planner.target().baseline_machine(*lowered.clock());
+            lowered.run_on(&mut machine).total_time_secs.to_bits()
+        };
+        let fresh = replay();
+        assert!(raced.iter().all(|&bits| bits == fresh), "{id}: {raced:?}");
+        for _ in 0..3 {
+            let stored = planner.baseline_latency().expect("baseline").to_bits();
+            assert_eq!(stored, fresh, "{id}: repeated call");
+        }
+        assert_eq!(replay(), fresh, "{id}: the replay itself is deterministic");
+    }
+}
+
+#[test]
 fn different_board_plans_differently_but_meets_its_qos() {
     let model = vww_sized(32);
     let f767 = Planner::for_target(Stm32F767Target::paper(), &model).expect("f767 builds");
